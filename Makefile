@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt fmt-check lint lint-json bench-smoke bench-json bench-scaling examples scenario-smoke fuzz-smoke sweep-smoke serve-smoke quality-gate cover docs-check ci
+.PHONY: all build test test-race vet fmt fmt-check lint lint-json bench-smoke bench-json examples scenario-smoke fuzz-smoke sweep-smoke serve-smoke quality-gate cover docs-check ci
 
 all: build
 
@@ -25,8 +25,7 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific contract enforcement: the optchain-lint suite (determinism,
-# hotpath, lockcheck, apierrors, forkpurity, spawncheck, ctxcheck,
-# atomiccheck — see PERFORMANCE.md "Static analysis & contracts").
+# hotpath, lockcheck, apierrors, spawncheck, ctxcheck, atomiccheck — see PERFORMANCE.md "Static analysis & contracts").
 # staticcheck and govulncheck run when installed (CI installs pinned
 # versions; locally they are optional extras, not requirements).
 lint:
@@ -64,13 +63,6 @@ bench-smoke:
 bench-json:
 	$(GO) run ./cmd/optchain-bench -quick -baseline-json BENCH_baseline.json
 
-# Concurrent-placement scaling curve: the parallel-quality sweep reports
-# decision drift per epoch worker count; the throughput side of the curve
-# (ns/tx, speedup vs one worker) is the Parallel section bench-json writes
-# into BENCH_baseline.json.
-bench-scaling:
-	$(GO) run ./cmd/optchain-bench -quick -sweep parallel-quality -reporter text
-
 # Build (not run) every example and cmd binary.
 examples:
 	$(GO) build ./examples/... ./cmd/...
@@ -88,12 +80,17 @@ scenario-smoke:
 	$(GO) run ./cmd/optchain-sim -workload "replay:smoke-replay.tan,mod=(burst:boost=4)" -txs 3000 -validators 8
 	rm -f smoke-replay.tan
 
-# Short fuzz passes: the dataset decoder (panic-safety + round-trip) and
-# the quality-gate row decoders (DecodeRows and the row-cache loader must
-# reject arbitrary bytes with ErrBadCache, never panic).
+# Short fuzz passes: the dataset decoder (panic-safety + round-trip), the
+# quality-gate row decoders (DecodeRows and the row-cache loader must
+# reject arbitrary bytes with ErrBadCache, never panic), and the engine
+# snapshot decoder (ReadSnapshot fails only with ErrBadSnapshot or
+# ErrSnapshotUnsupported, never panics). Minimizing a new snapshot input
+# can take the whole default minute, during which nothing else is
+# explored, so that target caps minimization at one second per input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzDiffRows -fuzztime 10s ./experiment
+	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 10s -fuzzminimizetime 1s .
 
 # Tiny 2x2 streaming sweep through the JSONL reporter, validated with the
 # sweepcheck checker: the experiment layer's data path (streamed cells,
@@ -131,8 +128,8 @@ quality-gate:
 	$(GO) run ./cmd/optchain-bench -quick -sweep quality -reporter jsonl -cache qg-cache -out qg-cold.jsonl \
 		&& $(GO) run ./cmd/optchain-bench -quick -sweep quality -reporter jsonl -cache qg-cache -out qg-warm.jsonl \
 		&& $(GO) run ./internal/sweepcheck -cache -rows 8 qg-cache/rows.jsonl \
-		&& $(GO) run ./cmd/optchain-bench -diff -tol-tps 0 -tol-cross 0 -tol-crosschunk 0 qg-cold.jsonl qg-warm.jsonl \
-		&& $(GO) run ./cmd/optchain-bench -diff -allow-missing -tol-tps 0.1 -tol-cross 0.1 -tol-crosschunk 0.1 BENCH_baseline.json qg-warm.jsonl \
+		&& $(GO) run ./cmd/optchain-bench -diff -tol-tps 0 -tol-cross 0 qg-cold.jsonl qg-warm.jsonl \
+		&& $(GO) run ./cmd/optchain-bench -diff -allow-missing -tol-tps 0.1 -tol-cross 0.1 BENCH_baseline.json qg-warm.jsonl \
 		|| rc=$$?; \
 	rm -rf qg-cache qg-cold.jsonl qg-warm.jsonl; exit $$rc
 

@@ -44,27 +44,13 @@
 //
 //	shards, err := eng.PlaceBatch(txs, shards)
 //
-// (PlaceStream batches internally, so it gets the same amortization;
-// WithBatchSize tunes the chunk size from its DefaultBatchSize.)
-// WithParallelism fans batches out across worker goroutines in
-// deterministic placement epochs — WithParallelism(0) resolves to
-// GOMAXPROCS, and one worker is bit-identical to the serial engine. With
-// more workers a chunk cannot see decisions made concurrently by earlier
-// chunks of the same epoch; that drift source is measured, not assumed:
-// PlacementStats reports ParallelInputRefs and CrossChunkRefs, and the
-// "parallel-quality" sweep tracks the resulting cross-shard delta against
-// the serial baseline. Strategies without epoch support (Metis replay)
-// fall back to the serial path transparently:
-//
-//	eng, err := optchain.New(
-//	    optchain.WithShards(16),
-//	    optchain.WithParallelism(0), // fan out across GOMAXPROCS
-//	    optchain.WithBatchSize(4096),
-//	)
+// (PlaceStream and PlaceWorkload batch internally in DefaultBatchSize
+// chunks, so they get the same amortization.) Placement is one serial pass
+// over the stream, as in the paper's online model.
 //
 // The placement and simulation hot paths are allocation-free steady-state;
-// see PERFORMANCE.md for the inventory, baseline numbers, the concurrent
-// placement design, and profiling flags.
+// see PERFORMANCE.md for the inventory, baseline numbers, and profiling
+// flags.
 //
 // Engine.Run drives the paper's full end-to-end evaluation (§V) — sharded
 // committees on a simulated network, clients replaying the stream at a
@@ -161,7 +147,9 @@
 // freshly constructed engine of identical configuration, after which
 // every subsequent decision is bit-identical to the uninterrupted run's
 // (ErrBadSnapshot / ErrSnapshotUnsupported report damage and
-// non-snapshottable strategies). The sibling package optchain/serve
+// non-snapshottable strategies). The format is versioned: this release
+// writes and reads version 2 only, and a version-1 file fails with
+// ErrBadSnapshot. The sibling package optchain/serve
 // builds the placement-router deployment on top: an HTTP gateway
 // (cmd/optchain-serve) with request coalescing into PlaceBatch, bounded
 // admission (429 + Retry-After), Prometheus /metrics, and periodic atomic

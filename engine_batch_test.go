@@ -2,6 +2,8 @@ package optchain_test
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"optchain"
@@ -124,5 +126,106 @@ func TestPlaceBatchReusesResultSlice(t *testing.T) {
 	}
 	if len(got) != len(txs) || cap(got) != cap(buf) {
 		t.Fatalf("len=%d cap=%d, want len=%d cap=%d (reused)", len(got), cap(got), len(txs), cap(buf))
+	}
+}
+
+// Chunk boundaries change batching only, never decisions: PlaceStream
+// (which cuts the stream at DefaultBatchSize) and PlaceBatch at several
+// chunk sizes, on a stream longer than DefaultBatchSize, all reproduce the
+// one-Place-per-transaction decisions exactly.
+func TestBatchSizeDoesNotChangeSerialDecisions(t *testing.T) {
+	const n = 3000
+	if n <= optchain.DefaultBatchSize {
+		t.Fatalf("stream of %d does not cross a DefaultBatchSize (%d) boundary", n, optchain.DefaultBatchSize)
+	}
+	d := smallDataset(t, n)
+	txs := collectStream(d)
+	newEngine := func() *optchain.Engine {
+		eng, err := optchain.New(optchain.WithShards(8), optchain.WithDataset(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	ref := newEngine()
+	for _, tx := range txs {
+		if _, err := ref.Place(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameDecisions := func(name string, eng *optchain.Engine) {
+		t.Helper()
+		want, got := ref.Stats(), eng.Stats()
+		if got.Placed != want.Placed || got.Cross != want.Cross {
+			t.Fatalf("%s changed decisions: %+v vs %+v", name, got, want)
+		}
+		a, b := ref.Assignment(), eng.Assignment()
+		for u := 0; u < n; u++ {
+			if a.ShardOf(optchain.Node(u)) != b.ShardOf(optchain.Node(u)) {
+				t.Fatalf("%s: decision %d differs", name, u)
+			}
+		}
+	}
+
+	stream := newEngine()
+	if _, err := stream.PlaceStream(optchain.DatasetStream(d)); err != nil {
+		t.Fatal(err)
+	}
+	assertSameDecisions("PlaceStream", stream)
+	for _, bs := range []int{1, 7, 333, optchain.DefaultBatchSize + 1, 5000} {
+		eng := newEngine()
+		var buf []int
+		for lo := 0; lo < n; lo += bs {
+			var err error
+			if buf, err = eng.PlaceBatch(txs[lo:min(lo+bs, n)], buf); err != nil {
+				t.Fatalf("batch size %d: %v", bs, err)
+			}
+		}
+		assertSameDecisions(fmt.Sprintf("batch size %d", bs), eng)
+	}
+}
+
+// Concurrent PlaceBatch and stats/snapshot reads must be race-free (run
+// under -race in CI).
+func TestPlaceBatchConcurrentReadersRace(t *testing.T) {
+	d := smallData(t)
+	txs := collectStream(d)
+	eng, err := optchain.New(optchain.WithShards(8), optchain.WithDataset(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				_ = eng.MetricsSnapshot()
+				_ = eng.Stats()
+				_ = eng.CrossShardFraction()
+			}
+		}()
+	}
+
+	var buf []int
+	for lo := 0; lo < len(txs); lo += 256 {
+		if buf, err = eng.PlaceBatch(txs[lo:min(lo+256, len(txs))], buf); err != nil {
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("PlaceBatch: %v", err)
+	}
+	if st := eng.Stats(); st.Placed != len(txs) {
+		t.Fatalf("placed %d, want %d", st.Placed, len(txs))
 	}
 }

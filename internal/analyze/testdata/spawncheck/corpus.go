@@ -11,8 +11,7 @@ type task struct {
 	panicked any
 }
 
-// runTask is the joined, panic-safe named-function worker (the
-// placement.Fan runChunk pattern).
+// runTask is the joined, panic-safe named-function worker.
 func runTask(t *task) {
 	defer func() {
 		t.panicked = recover()

@@ -10,40 +10,6 @@ import (
 	"optchain/internal/txgraph"
 )
 
-// referenceT2S is an independent, dense re-implementation of the paper's
-// incremental rule used to validate T2SIndex: it stores full k-vectors and
-// applies p'(u) = (1−α)Σ p'(v)/outdeg(v,u), p'(u)[s] += α on placement.
-type referenceT2S struct {
-	alpha  float64
-	k      int
-	vecs   [][]float64
-	outDeg []int
-}
-
-func (r *referenceT2S) place(inputs []txgraph.Node, counts []int64) (scores []float64, commit func(s int)) {
-	p := make([]float64, r.k)
-	for _, v := range inputs {
-		r.outDeg[v]++
-		for i := 0; i < r.k; i++ {
-			p[i] += r.vecs[v][i] / float64(r.outDeg[v])
-		}
-	}
-	for i := range p {
-		p[i] *= 1 - r.alpha
-	}
-	scores = make([]float64, r.k)
-	for i := range scores {
-		if counts[i] > 0 {
-			scores[i] = p[i] / float64(counts[i])
-		}
-	}
-	return scores, func(s int) {
-		p[s] += r.alpha
-		r.vecs = append(r.vecs, p)
-		r.outDeg = append(r.outDeg, 0)
-	}
-}
-
 func TestT2SIndexMatchesDenseReference(t *testing.T) {
 	const k, n = 5, 4000
 	cfg := dataset.DefaultConfig()
@@ -55,14 +21,14 @@ func TestT2SIndexMatchesDenseReference(t *testing.T) {
 	}
 	asn := placement.NewAssignment(k, n)
 	idx := NewT2SIndex(0.5, 0 /* exact */, asn, n)
-	ref := &referenceT2S{alpha: 0.5, k: k}
+	ref := newReferenceAlg1(k, 0.5, 0, true, nil)
 	rng := rand.New(rand.NewSource(3))
 
 	var buf []txgraph.Node
 	for i := 0; i < n; i++ {
 		buf = d.InputTxNodes(i, buf)
 		got := idx.Prepare(txgraph.Node(i), buf)
-		want, commit := ref.place(buf, asn.Counts())
+		want := ref.scores(buf)
 		for j := 0; j < k; j++ {
 			// The index carries score mass in Q32.32 fixed point (quantum
 			// 2^-32 ≈ 2.3e-10, see fixed.go); the dense float64 reference
@@ -76,7 +42,7 @@ func TestT2SIndexMatchesDenseReference(t *testing.T) {
 		s := rng.Intn(k) // arbitrary placements exercise all code paths
 		idx.Commit(txgraph.Node(i), s)
 		asn.Place(txgraph.Node(i), s)
-		commit(s)
+		ref.commit(s)
 	}
 }
 

@@ -74,13 +74,13 @@ func (t *T2SIndex) restoreState(r *placement.StateReader) error {
 	t.slabVals = slabVals
 	t.spans = spans
 	t.outDeg = outDeg
-	t.workers = nil // chunk-local arenas are rebuilt on the next parallel epoch
 	return nil
 }
 
-// AppendState implements placement.Snapshotter: the assignment's decisions
-// followed by the T2S index state.
+// AppendState implements placement.Snapshotter: the capacity bound, the
+// assignment's decisions, then the T2S index state.
 func (p *T2SPlacer) AppendState(dst []byte) []byte {
+	dst = placement.AppendCapacity(dst, p.cap)
 	dst = p.idx.asn.AppendState(dst)
 	return p.idx.appendState(dst)
 }
@@ -88,6 +88,11 @@ func (p *T2SPlacer) AppendState(dst []byte) []byte {
 // RestoreState implements placement.Snapshotter. The receiver must be fresh
 // and configured identically to the snapshot's producer.
 func (p *T2SPlacer) RestoreState(r *placement.StateReader) error {
+	c, err := r.Capacity()
+	if err != nil {
+		return err
+	}
+	p.cap = c
 	if err := p.idx.asn.RestoreState(r); err != nil {
 		return err
 	}
@@ -97,7 +102,6 @@ func (p *T2SPlacer) RestoreState(r *placement.StateReader) error {
 	if placed, spans := p.idx.asn.Len(), len(p.idx.spans); placed != spans {
 		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, spans)
 	}
-	p.workers = nil
 	return nil
 }
 
@@ -119,7 +123,6 @@ func (p *OptChainPlacer) RestoreState(r *placement.StateReader) error {
 	if placed, spans := p.idx.asn.Len(), len(p.idx.spans); placed != spans {
 		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, spans)
 	}
-	p.workers = nil
 	return nil
 }
 

@@ -123,12 +123,23 @@ func TestCoreRestoreDefects(t *testing.T) {
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
-			err := p.RestoreState(placement.NewStateReader(tc.blob))
+			// The T2S section leads with its capacity bound.
+			blob := append(placement.AppendCapacity(nil, 5), tc.blob...)
+			err := p.RestoreState(placement.NewStateReader(blob))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err=%v, want substring %q", err, tc.want)
 			}
 		})
 	}
+
+	t.Run("zero capacity bound", func(t *testing.T) {
+		p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
+		blob := append(placement.AppendCapacity(nil, 0), corruptSection(nil, nil, nil, nil, nil)...)
+		err := p.RestoreState(placement.NewStateReader(blob))
+		if err == nil || !strings.Contains(err.Error(), "capacity bound 0 out of range") {
+			t.Fatalf("zero capacity bound: %v", err)
+		}
+	})
 
 	t.Run("non-empty receiver", func(t *testing.T) {
 		p := NewOptChain(OptChainConfig{K: k, N: n})

@@ -22,10 +22,7 @@ type vecSpan struct {
 // t2sTally is the dense-accumulation scratch state behind Prepare: the merge
 // buffer collecting Σ p'(v)/|Nout(v)|, the touched-shard list, the pending
 // sparse vector held between Prepare and Commit, and the dense float score
-// output. It is factored out of T2SIndex so the parallel epoch workers
-// (epoch.go) run the exact same arithmetic over their chunk-local state —
-// bit-identical accumulation is what makes parallelism=1 indistinguishable
-// from the serial path.
+// output.
 type t2sTally struct {
 	merge []uint64 // dense Q32.32 accumulation buffer
 	inUse []bool
@@ -124,7 +121,6 @@ func (t *t2sTally) dense(counts []int64, normalize bool) []float64 {
 // appendVector splices the α restart mass for the chosen shard into the
 // sorted pending vector (pendS/pendV), appends the result to the slab
 // columns, applies relative truncation, and returns the extended columns.
-// Shared by the serial Commit and the epoch workers' chunk-local commits.
 //
 //optchain:hotpath one call per stream transaction; growth is amortized.
 func appendVector(dstS []int32, dstV []uint64, pendS []int32, pendV []uint64, shard int32, alphaQ, truncQ uint64) ([]int32, []uint64) {
@@ -223,10 +219,6 @@ type T2SIndex struct {
 	outDeg     []int32
 
 	tally t2sTally
-
-	// workers caches the epoch workers created by forkWorker so repeated
-	// parallel batches reuse their chunk-local arenas (epoch.go).
-	workers []*t2sWorker
 }
 
 // NewT2SIndex creates an index over the given assignment with damping

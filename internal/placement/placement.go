@@ -178,8 +178,7 @@ func (c *CrossCounter) Fraction() float64 {
 
 // Random is OmniLedger's default placement: shard = hash(txid) mod k.
 type Random struct {
-	a       *Assignment
-	workers []*randomWorker // epoch worker cache (parallel.go)
+	a *Assignment
 }
 
 // NewRandom returns a hash-based random placer for k shards and n expected
@@ -212,8 +211,7 @@ func (r *Random) Name() string { return "OmniLedger" }
 type Greedy struct {
 	a        *Assignment
 	cap      int64
-	coverage []int           // reusable per-Place input-coverage tally
-	workers  []*greedyWorker // epoch worker cache (parallel.go)
+	coverage []int // reusable per-Place input-coverage tally
 }
 
 // NewGreedy returns a greedy placer for k shards over an expected stream of

@@ -3,6 +3,7 @@ package placement
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Snapshotter is implemented by strategies whose complete decision state can
@@ -13,7 +14,10 @@ import (
 // not an approximation of it.
 //
 // AppendState appends a self-delimiting binary section to dst and returns
-// the extended slice; RestoreState consumes exactly one such section.
+// the extended slice; RestoreState consumes exactly one such section. The
+// restoring engine constructs the receiver with a stream-length hint sized
+// to the snapshot's placements, not to the producer's hint, so any decision
+// state derived from that hint (a capacity bound) belongs in the section.
 // Strategies that replay immutable offline data (MetisReplay) do not
 // implement the interface — their state is their construction input.
 type Snapshotter interface {
@@ -94,7 +98,7 @@ func (r *StateReader) count(elemSize int) int {
 	if r.err != nil {
 		return 0
 	}
-	if n*uint64(elemSize) > uint64(len(r.buf)) {
+	if n > uint64(len(r.buf)/elemSize) {
 		r.fail("placement: column of %d entries exceeds %d remaining bytes", n, len(r.buf))
 		return 0
 	}
@@ -194,11 +198,43 @@ func (p *Random) AppendState(dst []byte) []byte { return p.a.AppendState(dst) }
 func (p *Random) RestoreState(r *StateReader) error { return p.a.RestoreState(r) }
 
 // AppendState implements Snapshotter: greedy coverage is recomputed per
-// placement from the assignment, so the assignment is the whole state.
-func (g *Greedy) AppendState(dst []byte) []byte { return g.a.AppendState(dst) }
+// placement from the assignment, so the state is the capacity bound the
+// decisions were made against followed by the assignment.
+func (g *Greedy) AppendState(dst []byte) []byte {
+	dst = AppendCapacity(dst, g.cap)
+	return g.a.AppendState(dst)
+}
 
 // RestoreState implements Snapshotter.
-func (g *Greedy) RestoreState(r *StateReader) error { return g.a.RestoreState(r) }
+func (g *Greedy) RestoreState(r *StateReader) error {
+	c, err := r.Capacity()
+	if err != nil {
+		return err
+	}
+	if err := g.a.RestoreState(r); err != nil {
+		return err
+	}
+	g.cap = c
+	return nil
+}
+
+// AppendCapacity appends a per-shard capacity bound (see CapacityBound).
+func AppendCapacity(dst []byte, c int64) []byte {
+	return binary.AppendUvarint(dst, uint64(c))
+}
+
+// Capacity consumes a bound written by AppendCapacity, rejecting values
+// CapacityBound cannot produce.
+func (r *StateReader) Capacity() (int64, error) {
+	c := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if c < 1 || c > math.MaxInt64 {
+		return 0, fmt.Errorf("placement: capacity bound %d out of range", c)
+	}
+	return int64(c), nil
+}
 
 // Compile-time interface compliance checks.
 var (

@@ -147,6 +147,13 @@ func TestAssignmentRestoreDefects(t *testing.T) {
 			t.Fatal("truncated section accepted")
 		}
 	})
+	t.Run("length prefix overflowing the element size", func(t *testing.T) {
+		// 2^62 int32 entries is 2^64 bytes: the bound check must not wrap.
+		blob := append(AppendUvarint(nil, 1<<62), 0, 0, 0, 0)
+		if err := NewAssignment(2, 4).RestoreState(NewStateReader(blob)); err == nil {
+			t.Fatal("overflowing length prefix accepted")
+		}
+	})
 }
 
 // TestBaselineSnapshotters: Random and Greedy snapshot mid-stream and the

@@ -117,16 +117,6 @@ type Config struct {
 	L2SWght  float64
 	ExactL2S bool
 
-	// PrePlaceParallel switches a dataset run into the pipeline regime:
-	// the whole stream is placed before the first issue event — with one
-	// worker serially, with more through parallel placement epochs (see
-	// internal/placement) — and issue events read the pre-decided shards.
-	// Placement telemetry is frozen at time zero (no queue feedback), so
-	// results are comparable across worker counts but not bit-identical to
-	// the online default (0). Dataset runs only; > 1 requires a strategy
-	// with epoch support.
-	PrePlaceParallel int
-
 	// Progress, when non-nil, receives a Snapshot every ProgressEvery of
 	// virtual time (default 5 s) and once more when the run finishes. It is
 	// invoked on the simulation goroutine; implementations that share the
@@ -163,12 +153,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Placer == "" {
 		c.Placer = PlacerOptChain
-	}
-	if c.PrePlaceParallel < 0 {
-		return errors.New("sim: negative PrePlaceParallel")
-	}
-	if c.PrePlaceParallel > 0 && c.Source != nil {
-		return errors.New("sim: PrePlaceParallel requires a Dataset; a streaming Source has nothing to pre-place")
 	}
 	if c.Placer == PlacerMetis && len(c.MetisPart) < c.Txs {
 		return errors.New("sim: PlacerMetis requires MetisPart covering the stream")
@@ -255,14 +239,6 @@ type Result struct {
 	Retries       int64
 	Aborts        int64
 
-	// PrePlaceParallel echoes Config.PrePlaceParallel (0 = online
-	// placement); PrePlaceCrossChunkFraction is the fraction of input
-	// references parallel pre-placement could not see because they pointed
-	// into a concurrent chunk — the measured drift source, 0 below two
-	// workers.
-	PrePlaceParallel           int
-	PrePlaceCrossChunkFraction float64
-
 	WindowSeconds float64
 	WindowCommits []int64
 
@@ -339,11 +315,6 @@ type runner struct {
 	cross   placement.CrossCounter
 	retries int64
 
-	// Pre-placement state (cfg.PrePlaceParallel > 0): decisions are made
-	// before the DES starts and issue events only read them.
-	prePlaced bool
-	preStats  placement.EpochStats
-
 	inputBuf []txgraph.Node
 }
 
@@ -406,11 +377,6 @@ func (r *runner) run() (*Result, error) {
 	r.issued = make([]bool, n)
 	r.commitAt = make([]time.Duration, n)
 	r.perTx = time.Duration(float64(time.Second) / cfg.Rate)
-	if cfg.PrePlaceParallel > 0 {
-		if err := r.prePlace(); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.Source != nil {
 		// Streaming mode: issue events are chained (each schedules the
 		// next after its Gap-scaled inter-arrival), so the source is pulled
@@ -534,49 +500,9 @@ func (r *runner) buildPlacer() (placement.Placer, error) {
 	return p, nil
 }
 
-// prePlace decides the whole stream before the first issue event — the
-// pipeline regime where placement runs ahead of consensus. Telemetry is
-// frozen at time zero (empty queues, one representative client), so the
-// pass is deterministic; with more than one worker the stream is placed
-// in parallel epochs and the cross-chunk drift lands in the result.
-func (r *runner) prePlace() error {
-	cfg := r.cfg
-	n := cfg.Txs
-	r.tel.client = r.clients[0]
-	inputs := func(u int, buf []txgraph.Node) []txgraph.Node {
-		return cfg.Dataset.InputTxNodes(u, buf)
-	}
-	if w := cfg.PrePlaceParallel; w > 1 {
-		s, ok := r.placer.(placement.Sharder)
-		if !ok {
-			return fmt.Errorf("sim: PrePlaceParallel: strategy %s has no parallel epoch support", cfg.Placer)
-		}
-		fan := placement.NewFan(w)
-		r.preStats = fan.PlaceAll(s, n, prePlaceEpochTxs, inputs)
-	} else {
-		var buf []txgraph.Node
-		for i := 0; i < n; i++ {
-			buf = inputs(i, buf)
-			r.placer.Place(txgraph.Node(i), buf)
-		}
-	}
-	asn := r.placer.Assignment()
-	for i := 0; i < n; i++ {
-		r.decidedShard[i] = int32(asn.ShardOf(txgraph.Node(i)))
-	}
-	r.prePlaced = true
-	return nil
-}
-
-// prePlaceEpochTxs is the epoch size of parallel pre-placement — the
-// engine's default streaming chunk, so the sim's drift matches the
-// engine's at its default chunking.
-const prePlaceEpochTxs = 1024
-
 // decide runs the placement strategy for transaction i at its scheduled
 // issue tick (stream order, matching §IV's online model) and submits it.
-// Pre-placed runs skip the strategy call and read the decision made ahead
-// of time. Ordering races — a transaction reaching a shard before its
+// Ordering races — a transaction reaching a shard before its
 // parent commits — are absorbed by the shards' orphan-pool deferral, as
 // in real mempools; only persistent failures surface as rejections and
 // retries.
@@ -585,11 +511,8 @@ func (r *runner) decide(i int) {
 	r.tel.client = client
 
 	r.inputBuf = r.cfg.Dataset.InputTxNodes(i, r.inputBuf)
-	s := int(r.decidedShard[i])
-	if !r.prePlaced {
-		s = r.placer.Place(txgraph.Node(i), r.inputBuf)
-		r.decidedShard[i] = int32(s)
-	}
+	s := r.placer.Place(txgraph.Node(i), r.inputBuf)
+	r.decidedShard[i] = int32(s)
 	r.cross.Observe(r.placer.Assignment(), r.inputBuf, s)
 
 	r.issued[i] = true
@@ -732,9 +655,6 @@ func (r *runner) buildResult() *Result {
 		Aborts:          aborts,
 		Queues:          r.queues,
 		WindowSeconds:   r.cfg.CommitWindow.Seconds(),
-
-		PrePlaceParallel:           r.cfg.PrePlaceParallel,
-		PrePlaceCrossChunkFraction: r.preStats.CrossChunkFraction(),
 	}
 	if makespan > 0 {
 		res.ThroughputTPS = float64(r.committed) / makespan

@@ -201,49 +201,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, Protocol: "bogus"}); err == nil {
 		t.Fatal("bogus protocol accepted")
 	}
-	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, PrePlaceParallel: -1}); err == nil {
-		t.Fatal("negative PrePlaceParallel accepted")
-	}
-	part := make([]int32, 100)
-	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, Placer: PlacerMetis,
-		MetisPart: part, PrePlaceParallel: 2}); err == nil {
-		t.Fatal("parallel pre-placement accepted for a strategy without epoch support")
-	}
-}
-
-// TestPrePlacedRunCommits: the pipeline regime (placement decided before
-// the first issue event) commits the full stream for both the serial and
-// the parallel pre-pass, runs are deterministic, and the parallel pass
-// reports its drift source.
-func TestPrePlacedRunCommits(t *testing.T) {
-	d := smallDataset(t, 2000)
-	for _, workers := range []int{1, 4} {
-		cfg := fastConfig(d, PlacerOptChain, 4, 500)
-		cfg.PrePlaceParallel = workers
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Committed != res.Total {
-			t.Fatalf("workers=%d: committed %d of %d", workers, res.Committed, res.Total)
-		}
-		if res.PrePlaceParallel != workers {
-			t.Fatalf("workers=%d: result echoes %d", workers, res.PrePlaceParallel)
-		}
-		if workers > 1 && res.PrePlaceCrossChunkFraction <= 0 {
-			t.Fatalf("workers=%d: no drift source recorded: %+v", workers, res)
-		}
-		if workers == 1 && res.PrePlaceCrossChunkFraction != 0 {
-			t.Fatalf("serial pre-pass reports drift: %+v", res)
-		}
-		res2, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res2.CrossFraction != res.CrossFraction || res2.AvgLatency != res.AvgLatency {
-			t.Fatalf("workers=%d: pre-placed run not deterministic: %+v vs %+v", workers, res, res2)
-		}
-	}
 }
 
 func TestDeterministicForSeed(t *testing.T) {

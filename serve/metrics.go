@@ -159,12 +159,6 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 	for shard, n := range st.ShardCounts {
 		line("optchain_engine_shard_txs{shard=\"%d\"} %d\n", shard, n)
 	}
-	line("# HELP optchain_engine_parallel_input_refs_total Input references seen by parallel placement epochs.\n")
-	line("# TYPE optchain_engine_parallel_input_refs_total counter\n")
-	line("optchain_engine_parallel_input_refs_total %d\n", st.ParallelInputRefs)
-	line("# HELP optchain_engine_cross_chunk_refs_total Parallel input references that crossed concurrent chunks.\n")
-	line("# TYPE optchain_engine_cross_chunk_refs_total counter\n")
-	line("optchain_engine_cross_chunk_refs_total %d\n", st.CrossChunkRefs)
 
 	m.mu.Lock()
 	line("# HELP optchain_serve_queue_depth Requests currently waiting in the ingest queue.\n")

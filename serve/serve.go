@@ -501,7 +501,7 @@ func (s *Server) Close(ctx context.Context) error {
 	p := s.panicked
 	s.mu.Unlock()
 	if p != nil {
-		panic(p) //optchain:fatal re-raise a dispatcher panic on the joining goroutine (placement.Fan contract)
+		panic(p) //optchain:fatal re-raise a dispatcher panic on the joining goroutine (spawncheck contract)
 	}
 	if s.cfg.StatePath != "" {
 		return s.saveState()

@@ -27,30 +27,39 @@ var (
 // snapMagic identifies an Engine snapshot stream; snapVersion versions the
 // layout that follows it. The whole stream (magic through payload) is
 // covered by a trailing CRC-32 so truncation and corruption fail loudly.
+//
+// Version 2 dropped the three epoch-parallel placement counters version 1
+// carried, and moved the capacity bound of the capacity-bounded strategies
+// into their own state sections. Version-1 files are not read: they fail
+// with ErrBadSnapshot ("version 1, want 2").
 const (
 	snapMagic   = "OPTCHSNP"
-	snapVersion = 1
+	snapVersion = 2
 )
 
-// snapMaxBytes bounds how much ReadSnapshot will buffer — a corrupt length
-// field must not translate into an unbounded allocation. 1 GiB of snapshot
-// corresponds to hundreds of millions of placed transactions, far beyond a
-// single engine's working range.
-const snapMaxBytes = 1 << 30
+// snapMaxBytes bounds snapshot size in both directions: ReadSnapshot
+// buffers at most this much — a corrupt length field must not translate
+// into an unbounded allocation — and WriteSnapshot refuses to emit more, so
+// a state file is never replaced by one that cannot be restored. At the
+// measured ~36 B per placed transaction, 1 GiB holds about 30M placements.
+// It is a variable only so in-package tests can exercise the bound without
+// a 1 GiB state.
+var snapMaxBytes = 1 << 30
 
 // WriteSnapshot serializes the engine's complete streaming-placement state
 // — the strategy's decision state (for OptChain/T2S the slab-backed p'(v)
 // index and the shard assignment), the per-transaction output counts, and
-// the cross-shard and parallel-epoch counters — as one versioned,
-// checksummed binary stream. A restored engine (see ReadSnapshot) makes
-// bit-identical decisions on the rest of the stream, so a placement router
-// can restart without replaying history.
+// the cross-shard counters — as one versioned, checksummed binary stream.
+// A restored engine (see ReadSnapshot) makes bit-identical decisions on the
+// rest of the stream, so a placement router can restart without replaying
+// history.
 //
 // The engine may have in-flight Place/PlaceBatch callers — the snapshot is
 // taken under the engine lock at a batch boundary — but must not be inside
 // Run (ErrRunning). Strategies without state export (Metis replay, custom
 // registrations not implementing the snapshot contract) fail with
-// ErrSnapshotUnsupported.
+// ErrSnapshotUnsupported. A state larger than the size ReadSnapshot accepts
+// fails with ErrBadSnapshot and writes nothing.
 func (e *Engine) WriteSnapshot(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -84,10 +93,10 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	buf = placement.AppendInt32s(buf, e.outs)
 	buf = binary.AppendUvarint(buf, uint64(e.cross.Total))
 	buf = binary.AppendUvarint(buf, uint64(e.cross.Cross))
-	buf = binary.AppendUvarint(buf, uint64(e.epoch.Placed))
-	buf = binary.AppendUvarint(buf, uint64(e.epoch.InputRefs))
-	buf = binary.AppendUvarint(buf, uint64(e.epoch.CrossChunkRefs))
 	buf = snap.AppendState(buf)
+	if len(buf)+4 > snapMaxBytes {
+		return fmt.Errorf("%w: %d-byte state exceeds the %d-byte restore limit", ErrBadSnapshot, len(buf)+4, snapMaxBytes)
+	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 
 	if _, err := w.Write(buf); err != nil {
@@ -109,7 +118,7 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 // fingerprint errors detected before state adoption, and must be discarded
 // after a mid-restore failure.
 func (e *Engine) ReadSnapshot(r io.Reader) error {
-	data, err := io.ReadAll(io.LimitReader(r, snapMaxBytes+1))
+	data, err := io.ReadAll(io.LimitReader(r, int64(snapMaxBytes)+1))
 	if err != nil {
 		return fmt.Errorf("%w: read: %v", ErrBadSnapshot, err)
 	}
@@ -141,9 +150,6 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 	outs := sr.Int32s()
 	crossTotal := sr.Uvarint()
 	crossCross := sr.Uvarint()
-	epPlaced := sr.Uvarint()
-	epInputs := sr.Uvarint()
-	epCross := sr.Uvarint()
 	if err := sr.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
@@ -171,18 +177,27 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("%w: %d output counts for %d placed transactions", ErrBadSnapshot, len(outs), placed)
 	case crossCross > crossTotal:
 		return fmt.Errorf("%w: cross count %d exceeds total %d", ErrBadSnapshot, crossCross, crossTotal)
+	case capN > math.MaxInt32:
+		return fmt.Errorf("%w: capacity hint %d outside [0, %d]", ErrBadSnapshot, capN, math.MaxInt32)
 	}
 	if e.dataset != nil {
 		if n := e.dataset.Len(); uint64(n) != capN {
 			return fmt.Errorf("%w: snapshot capacity hint %d, engine dataset length %d", ErrBadSnapshot, capN, n)
 		}
 	} else {
-		// The capacity hint sizes per-shard budgets (T2S/Greedy); rebuild
-		// the placer with the producer's value so the bounds agree.
-		e.streamCap = int(capN)
+		// Build the placer sized to the state the snapshot holds, not to
+		// the producer's hint: the restored columns replace whatever the
+		// constructor pre-allocates, and a hint the file merely claims must
+		// not drive an allocation. Capacity-bounded strategies restore
+		// their bound from their own state section.
+		e.streamCap = int(placed)
 	}
 	if err := e.ensurePlacerLocked(); err != nil {
 		return err
+	}
+	if e.dataset == nil {
+		// Later snapshots carry the producer's hint forward.
+		e.streamCap, e.placerN = int(capN), int(capN)
 	}
 	snap, ok := e.placer.(placement.Snapshotter)
 	if !ok {
@@ -200,8 +215,6 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 	e.placed = int(placed)
 	e.outs = outs
 	e.cross = placement.CrossCounter{Total: int64(crossTotal), Cross: int64(crossCross)}
-	e.epoch = placement.EpochStats{Placed: int64(epPlaced), InputRefs: int64(epInputs), CrossChunkRefs: int64(epCross)}
-	e.fan = nil
 	e.refreshStreamSnapshotLocked()
 	return nil
 }

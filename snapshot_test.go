@@ -30,15 +30,14 @@ func snapshotStream(t *testing.T, n int, shards int) []optchain.StreamTx {
 	return txs
 }
 
-func snapshotEngine(t *testing.T, strategy string, n int, extra ...optchain.Option) *optchain.Engine {
+func snapshotEngine(t *testing.T, strategy string, n int) *optchain.Engine {
 	t.Helper()
-	opts := append([]optchain.Option{
+	e, err := optchain.New(
 		optchain.WithShards(8),
 		optchain.WithStrategy(strategy),
 		optchain.WithStreamCapacity(n),
 		optchain.WithSeed(1),
-	}, extra...)
-	e, err := optchain.New(opts...)
+	)
 	if err != nil {
 		t.Fatalf("New(%s): %v", strategy, err)
 	}
@@ -104,50 +103,6 @@ func TestSnapshotRoundTripDecisionFidelity(t *testing.T) {
 				t.Fatalf("final stats diverge: uninterrupted %+v, restored %+v", ga, gc)
 			}
 		})
-	}
-}
-
-// TestSnapshotRoundTripParallel proves fidelity holds through the parallel
-// epoch path too, as long as both runs use the same batch boundaries.
-func TestSnapshotRoundTripParallel(t *testing.T) {
-	const n = 2000
-	txs := snapshotStream(t, n, 8)
-	half := n / 2
-	par := []optchain.Option{optchain.WithParallelism(2), optchain.WithBatchSize(256)}
-
-	a := snapshotEngine(t, "OptChain", n, par...)
-	if _, err := a.PlaceBatch(txs[:half], nil); err != nil {
-		t.Fatalf("A first half: %v", err)
-	}
-	want, err := a.PlaceBatch(txs[half:], nil)
-	if err != nil {
-		t.Fatalf("A second half: %v", err)
-	}
-
-	b := snapshotEngine(t, "OptChain", n, par...)
-	if _, err := b.PlaceBatch(txs[:half], nil); err != nil {
-		t.Fatalf("B first half: %v", err)
-	}
-	var snap bytes.Buffer
-	if err := b.WriteSnapshot(&snap); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	c := snapshotEngine(t, "OptChain", n, par...)
-	if err := c.ReadSnapshot(&snap); err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
-	}
-	got, err := c.PlaceBatch(txs[half:], nil)
-	if err != nil {
-		t.Fatalf("C second half: %v", err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parallel restore diverges at %d: %d vs %d", half+i, got[i], want[i])
-		}
-	}
-	if as, cs := a.Stats(), c.Stats(); as.ParallelInputRefs != cs.ParallelInputRefs ||
-		as.CrossChunkRefs != cs.CrossChunkRefs {
-		t.Fatalf("epoch counters diverge: %+v vs %+v", as, cs)
 	}
 }
 
