@@ -689,17 +689,10 @@ func (e *Engine) PlaceWorkload(n int) (PlacementStats, error) {
 	}
 	e.mu.Unlock()
 	buf := make([]StreamTx, 0, DefaultBatchSize)
-	var shards []int
+	var refs, shards []int
 	var tx workload.Tx
 	for placed := 0; placed < n; {
-		buf = buf[:0]
-		for len(buf) < DefaultBatchSize && placed+len(buf) < n && src.Next(&tx) {
-			ins := make([]int, len(tx.Inputs))
-			for j, in := range tx.Inputs {
-				ins[j] = base + in.Tx
-			}
-			buf = append(buf, StreamTx{Inputs: ins, Outputs: tx.Outputs})
-		}
+		buf, refs = fillBatch(src, &tx, buf, refs, base, min(DefaultBatchSize, n-placed))
 		if len(buf) == 0 {
 			break
 		}
@@ -720,6 +713,24 @@ func (e *Engine) PlaceWorkload(n int) (PlacementStats, error) {
 		}
 	}
 	return e.Stats(), nil
+}
+
+// fillBatch refills buf with up to limit transactions pulled from src,
+// shifting their stream positions by base. All inputs of a batch share the
+// refs slab (reused across batches); each StreamTx.Inputs is capped at its
+// own end, so no transaction's inputs alias the next one's.
+//
+//optchain:hotpath one iteration per generated transaction.
+func fillBatch(src workload.Source, tx *workload.Tx, buf []StreamTx, refs []int, base, limit int) ([]StreamTx, []int) {
+	buf, refs = buf[:0], refs[:0]
+	for len(buf) < limit && src.Next(tx) {
+		at := len(refs)
+		for _, in := range tx.Inputs {
+			refs = append(refs, base+in.Tx)
+		}
+		buf = append(buf, StreamTx{Inputs: refs[at:len(refs):len(refs)], Outputs: tx.Outputs})
+	}
+	return buf, refs
 }
 
 // Stats returns the streaming-mode placement statistics so far.

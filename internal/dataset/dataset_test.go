@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -277,6 +278,28 @@ func TestConfigValidation(t *testing.T) {
 	cfg.PDoubleInput = 0.9
 	if _, err := Generate(cfg); err == nil {
 		t.Fatal("invalid probability mixture accepted")
+	}
+}
+
+// TestCommunityLabelRange: community labels are stored as int16, so the
+// largest accepted community count still yields in-range labels, and one
+// more is rejected up front instead of wrapping.
+func TestCommunityLabelRange(t *testing.T) {
+	cfg := Config{N: 20_000, Seed: 1, Communities: math.MaxInt16}
+	d, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < d.Len(); i++ {
+		if c := d.Community(i); c < 0 || c >= cfg.Communities {
+			t.Fatalf("tx %d: community %d outside [0, %d)", i, c, cfg.Communities)
+		}
+	}
+	for _, n := range []int{math.MaxInt16 + 1, 40_000, 1e9} {
+		cfg.Communities = n
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("Generate accepted %d communities", n)
+		}
 	}
 }
 

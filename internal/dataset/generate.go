@@ -60,7 +60,8 @@ type Config struct {
 	// own community created. Real Bitcoin transaction graphs are strongly
 	// clustered by entity — this is the multi-hop relatedness structure
 	// that graph-aware placement (Metis, T2S) exploits and that one-hop
-	// Greedy cannot see. Setting Communities to 1 disables clustering.
+	// Greedy cannot see. Setting Communities to 1 disables clustering. At
+	// most math.MaxInt16: Dataset stores community labels as int16.
 	Communities int
 	// IntraProb is the probability an input is drawn from the
 	// transaction's own community (default 0.8).
@@ -164,8 +165,12 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Validate rejects probability mixtures that don't fit in [0,1].
+// Validate rejects probability mixtures that don't fit in [0,1] and
+// community counts that the dataset's int16 community labels cannot hold.
 func (c Config) Validate() error {
+	if c.Communities > math.MaxInt16 {
+		return fmt.Errorf("dataset: %d communities exceed the maximum of %d", c.Communities, math.MaxInt16)
+	}
 	if c.PSingleInput+c.PDoubleInput > 1 {
 		return errors.New("dataset: input probabilities exceed 1")
 	}
@@ -198,6 +203,10 @@ type generator struct {
 
 	comms      [][]int // per community: pool indices of outputs it created
 	commCursor int     // round-robin turnover position
+
+	age   stats.AgeDraw // exact, memoized math.Pow for the age draws
+	ins   []outRef      // takeInputs' result, reused across steps
+	remap []int         // maybeCompact's index map, reused across compactions
 }
 
 func newGenerator(cfg Config) *generator {
@@ -229,7 +238,9 @@ func Generate(cfg Config) (*Dataset, error) {
 // transaction stream one transaction at a time, with memory proportional to
 // the live UTXO set rather than the stream length. Draining a Stream built
 // from a Config reproduces Generate(cfg) exactly, transaction for
-// transaction (same RNG consumption order).
+// transaction (same RNG consumption order). Steady-state generation does
+// not allocate: Next refills the caller's StreamTx input slices in place,
+// and the generator reuses its own input, pool, and compaction buffers.
 type Stream struct {
 	g *generator
 	i int
@@ -290,12 +301,14 @@ func (s *Stream) Next(tx *StreamTx) bool {
 
 // step computes transaction i and registers its outputs in the pool. The
 // caller records the returned structure (Generate appends it to a Dataset;
-// Stream.Next hands it to the puller).
+// Stream.Next hands it to the puller); ins is reused by the next step.
+//
+//optchain:hotpath one call per generated transaction.
 func (g *generator) step(i int32) (ins []outRef, nOut int, outSum int64, community int) {
 	// Retire one community round-robin to model entity churn; its unspent
 	// outputs remain in the global pool.
 	if int(i) > 0 && int(i)%g.cfg.TurnoverEvery == 0 {
-		g.comms[g.commCursor] = nil
+		g.comms[g.commCursor] = g.comms[g.commCursor][:0]
 		g.commCursor = (g.commCursor + 1) % len(g.comms)
 	}
 	community = g.rng.Intn(len(g.comms))
@@ -378,9 +391,11 @@ func (g *generator) sampleOutputs() int {
 // IntraProb (recency-biased within the community's outputs), otherwise from
 // the global pool with log-uniform age bias (P(age) ∝ 1/age). The
 // transaction's own outputs cannot be selected because they are appended
-// only after selection.
+// only after selection. The result is reused by the next call.
+//
+//optchain:hotpath one call per non-coinbase transaction.
 func (g *generator) takeInputs(n, community int) []outRef {
-	out := make([]outRef, 0, n)
+	out := g.ins[:0]
 	spentPayment := false
 	for len(out) < n && g.live > 0 {
 		i := -1
@@ -419,6 +434,7 @@ func (g *generator) takeInputs(n, community int) []outRef {
 			}
 		}
 	}
+	g.ins = out
 	return out
 }
 
@@ -445,6 +461,8 @@ func (g *generator) pickChangeFromCommunity(c int) int {
 // never fails while the community owns anything — a silent fall-through to
 // the global pool would defect the community's lineage to a foreign shard.
 // Returns -1 when the community owns nothing spendable.
+//
+//optchain:hotpath one call per intra-community input draw.
 func (g *generator) pickFromCommunity(c int) int {
 	for attempt := 0; attempt < 2; attempt++ {
 		list := g.comms[c]
@@ -457,7 +475,7 @@ func (g *generator) pickFromCommunity(c int) int {
 			return -1
 		}
 		for tries := 0; tries < 12; tries++ {
-			age := int(math.Pow(float64(len(list)), g.rng.Float64()))
+			age := int(g.age.Pow(len(list), g.rng.Float64()))
 			j := len(list) - age
 			if j < 0 {
 				j = 0
@@ -486,13 +504,15 @@ func (g *generator) pickFromCommunity(c int) int {
 
 // pickUnspent draws a pool index with log-uniform age from the end, falling
 // back to a bounded scan when the draw lands on spent entries.
+//
+//optchain:hotpath one call per global-pool input draw.
 func (g *generator) pickUnspent() int {
 	n := len(g.pool)
 	if n == 0 || g.live == 0 {
 		return -1
 	}
 	for tries := 0; tries < 24; tries++ {
-		age := int(math.Pow(float64(n), g.rng.Float64()))
+		age := int(g.age.Pow(n, g.rng.Float64()))
 		i := n - age
 		if i < 0 {
 			i = 0
@@ -514,22 +534,27 @@ func (g *generator) pickUnspent() int {
 	return -1
 }
 
-// maybeCompact rebuilds the pool (preserving creation order) once mostly
-// spent, keeping memory proportional to the live UTXO set. Community lists
-// reference pool indices, so they are remapped in the same pass.
+// maybeCompact squeezes spent entries out of the pool in place (preserving
+// creation order) once it is mostly spent, keeping memory proportional to
+// the live UTXO set. Community lists reference pool indices, so they are
+// remapped in the same pass.
 func (g *generator) maybeCompact() {
 	if len(g.pool) < 4096 || g.live*2 > len(g.pool) {
 		return
 	}
-	remap := make([]int, len(g.pool))
-	newPool := make([]outRef, 0, g.live)
+	if cap(g.remap) < len(g.pool) {
+		g.remap = make([]int, len(g.pool))
+	}
+	remap := g.remap[:len(g.pool)]
+	n := 0
 	for i, r := range g.pool {
 		if g.spent[i] {
 			remap[i] = -1
 			continue
 		}
-		remap[i] = len(newPool)
-		newPool = append(newPool, r)
+		remap[i] = n
+		g.pool[n] = r
+		n++
 	}
 	for c, list := range g.comms {
 		kept := list[:0]
@@ -540,8 +565,9 @@ func (g *generator) maybeCompact() {
 		}
 		g.comms[c] = kept
 	}
-	g.pool = newPool
-	g.spent = make([]bool, len(newPool))
+	g.pool = g.pool[:n]
+	g.spent = g.spent[:n]
+	clear(g.spent)
 }
 
 // Dataset is a columnar, immutable transaction stream. Transaction i has

@@ -65,3 +65,36 @@ func ExpSample(rng *rand.Rand, lambda float64) float64 {
 	}
 	return rng.ExpFloat64() / lambda
 }
+
+// AgeDraw evaluates the log-uniform age draw n^u (P(age) ∝ 1/age) of the
+// recency-biased input selectors. It returns exactly math.Pow(float64(n),
+// u), bit for bit, but reads log n from a lazily grown table instead of
+// calling math.Log. The zero value is ready to use; an AgeDraw is not safe
+// for concurrent use.
+type AgeDraw struct {
+	logs []float64 // logs[i] == math.Log(float64(i))
+}
+
+// Pow returns math.Pow(float64(n), u) for n >= 1 and u in [0, 1). It follows
+// math.Pow's own evaluation path for that domain: 1 for u == 0 or n == 1,
+// Sqrt at u == 0.5, and otherwise Exp of the fractional exponent times log n,
+// where Pow rebases exponents above one half to u-1 and multiplies n back in
+// (its Frexp/Ldexp power-of-two scaling is exact in this range).
+//
+//optchain:hotpath one call per recency-biased input draw.
+func (a *AgeDraw) Pow(n int, u float64) float64 {
+	if u == 0 || n == 1 {
+		return 1
+	}
+	x := float64(n)
+	if u == 0.5 {
+		return math.Sqrt(x)
+	}
+	for len(a.logs) <= n {
+		a.logs = append(a.logs, math.Log(float64(len(a.logs))))
+	}
+	if u > 0.5 {
+		return math.Exp((u-1)*a.logs[n]) * x
+	}
+	return math.Exp(u * a.logs[n])
+}

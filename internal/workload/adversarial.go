@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"optchain/internal/chain"
+	"optchain/internal/stats"
 )
 
 // adversarial is a worst-case workload: an attacker who watches where
@@ -37,6 +38,7 @@ type advSource struct {
 
 	shards []*ring // adversary's belief: recent outputs per shard
 	counts []int64 // adversary's belief: transactions per shard
+	age    stats.AgeDraw
 
 	// pending holds outputs of transactions whose placement has not been
 	// observed yet (drivers batch decisions, so observations lag by up to a
@@ -173,7 +175,7 @@ func (a *advSource) Next(tx *Tx) bool {
 	} else {
 		var inSum int64
 		for _, s := range a.candidates[:a.spread] {
-			o, _ := a.shards[s].popBiased(a.rng)
+			o, _ := a.shards[s].popBiased(a.rng, &a.age)
 			inSum += o.val
 			tx.Inputs = append(tx.Inputs, Input{Tx: int(o.tx), Index: o.idx})
 		}

@@ -13,7 +13,7 @@ import (
 //
 // Knobs (defaults are the calibration in dataset.DefaultConfig):
 //
-//	communities  active wallet communities (64)
+//	communities  active wallet communities (64, at most 32767)
 //	intra        probability an input is drawn from the owner community (1.0)
 //	hubevery     hub (batch payer) cadence in transactions (250)
 //	hubfanout    hub transaction output bound (60)

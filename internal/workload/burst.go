@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+
+	"optchain/internal/stats"
 )
 
 // burst is a Markov-modulated workload: the stream alternates between calm
@@ -30,6 +32,7 @@ type burstSource struct {
 
 	calm  *ring
 	crowd *ring
+	age   stats.AgeDraw
 }
 
 func init() {
@@ -85,7 +88,7 @@ func (b *burstSource) Next(tx *Tx) bool {
 		pool = b.crowd
 		if pool.len() == 0 {
 			// A fresh crowd seeds itself from general circulation.
-			if o, ok := b.calm.popBiased(b.rng); ok {
+			if o, ok := b.calm.popBiased(b.rng, &b.age); ok {
 				pool.push(o)
 			}
 		}
@@ -104,7 +107,7 @@ func (b *burstSource) Next(tx *Tx) bool {
 	nIn := 1 + b.rng.Intn(2)
 	var inSum int64
 	for j := 0; j < nIn; j++ {
-		o, ok := pool.popBiased(b.rng)
+		o, ok := pool.popBiased(b.rng, &b.age)
 		if !ok {
 			break
 		}

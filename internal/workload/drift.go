@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+
+	"optchain/internal/stats"
 )
 
 // drift models community structure that rotates over time. Between
@@ -30,6 +32,7 @@ type driftSource struct {
 	maxIns int
 	fanout int
 	comms  []*ring
+	age    stats.AgeDraw
 }
 
 func init() {
@@ -114,7 +117,7 @@ func (d *driftSource) Next(tx *Tx) bool {
 	nIn := 1 + d.rng.Intn(d.maxIns)
 	var inSum int64
 	for j := 0; j < nIn; j++ {
-		o, ok := pool.popBiased(d.rng)
+		o, ok := pool.popBiased(d.rng, &d.age)
 		if !ok {
 			break
 		}

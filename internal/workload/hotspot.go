@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+
+	"optchain/internal/stats"
 )
 
 // hotspot models Zipf-skewed wallet popularity: a handful of hot wallets
@@ -27,6 +29,7 @@ type hotspotSource struct {
 	maxIns  int
 	fanout  int
 	wallets []*ring
+	age     stats.AgeDraw
 }
 
 func init() {
@@ -99,7 +102,7 @@ func (h *hotspotSource) Next(tx *Tx) bool {
 	nIn := 1 + h.rng.Intn(h.maxIns)
 	var inSum int64
 	for j := 0; j < nIn; j++ {
-		o, ok := own.popBiased(h.rng)
+		o, ok := own.popBiased(h.rng, &h.age)
 		if !ok {
 			break
 		}

@@ -1,10 +1,10 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 
 	"optchain/internal/dataset"
+	"optchain/internal/stats"
 )
 
 // outpoint is one spendable output tracked by a scenario generator. Every
@@ -57,13 +57,13 @@ func (r *ring) pop() (outpoint, bool) {
 // popBiased removes an outpoint with log-uniform age bias (P(age) ∝ 1/age),
 // matching the recency-biased input selection of the calibrated Bitcoin
 // generator. Order is preserved so subsequent pops stay recency-biased.
-func (r *ring) popBiased(rng *rand.Rand) (outpoint, bool) {
+// age is the owning source's draw table, shared by all its rings.
+func (r *ring) popBiased(rng *rand.Rand, age *stats.AgeDraw) (outpoint, bool) {
 	n := len(r.buf)
 	if n == 0 {
 		return outpoint{}, false
 	}
-	age := int(math.Pow(float64(n), rng.Float64()))
-	j := n - age
+	j := n - int(age.Pow(n, rng.Float64()))
 	if j < 0 {
 		j = 0
 	}

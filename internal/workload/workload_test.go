@@ -132,6 +132,19 @@ func TestUnknownKnobRejected(t *testing.T) {
 	}
 }
 
+// TestBitcoinCommunityBound: a community count the generator cannot label
+// fails as a typed parameter error before anything is allocated for it.
+func TestBitcoinCommunityBound(t *testing.T) {
+	for _, spec := range []string{"bitcoin:communities=32768", "bitcoin:communities=40000", "bitcoin:communities=1e9"} {
+		if _, err := New(spec, Params{N: 10}); !errors.Is(err, ErrBadParam) {
+			t.Errorf("New(%q) error = %v, want ErrBadParam", spec, err)
+		}
+	}
+	if _, err := New("bitcoin:communities=32767", Params{N: 10}); err != nil {
+		t.Fatalf("largest community count rejected: %v", err)
+	}
+}
+
 // TestScenarioDeterminism: identical seeds yield identical streams for every
 // standalone scenario (replay needs a trace-file argument; its determinism
 // is covered in replay_test.go); a different seed changes the stream.
