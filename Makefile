@@ -84,15 +84,18 @@ scenario-smoke:
 # workload spec decoder (Parse and SplitList fail only with ErrBadParam or
 # ErrUnknownWorkload, never panic), the quality-gate row decoders
 # (DecodeRows and the row-cache loader must reject arbitrary bytes with
-# ErrBadCache, never panic), and the engine snapshot decoder (ReadSnapshot
-# fails only with ErrBadSnapshot or ErrSnapshotUnsupported, never panics).
-# Minimizing a new input can take the whole default minute, during which
-# nothing else is explored, so the spec and snapshot targets — which find
-# new inputs quickly — cap minimization at one second per input.
+# ErrBadCache, never panic), the reporter spec decoder (ParseReporterSpec
+# fails only with ErrUnknownReporter or ErrBadReporterOption, never
+# panics), and the engine snapshot decoder (ReadSnapshot fails only with
+# ErrBadSnapshot or ErrSnapshotUnsupported, never panics). Minimizing a new
+# input can take the whole default minute, during which nothing else is
+# explored, so the spec and snapshot targets — which find new inputs
+# quickly — cap minimization at one second per input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzDiffRows -fuzztime 10s ./experiment
+	$(GO) test -run '^$$' -fuzz FuzzParseReporterSpec -fuzztime 10s -fuzzminimizetime 1s ./experiment
 	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 10s -fuzzminimizetime 1s .
 
 # Tiny 2x2 streaming sweep through the JSONL reporter, validated with the

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"optchain"
+	"optchain/experiment"
 	"optchain/internal/bench"
 	"optchain/internal/chain"
 	"optchain/internal/core"
@@ -24,16 +25,13 @@ import (
 	"optchain/internal/txgraph"
 )
 
-// benchHarness builds a reduced-scale harness per iteration batch.
-func benchHarness() *bench.Harness {
-	return bench.NewHarness(bench.Params{Quick: true, N: 4000, TableN: 20000, Seed: 1})
-}
-
+// runExperiment renders one paper experiment per iteration on a fresh
+// reduced-scale runner, so every iteration pays for its cells.
 func runExperiment(b *testing.B, name string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		if err := bench.Experiments[name](context.Background(), h, io.Discard); err != nil {
+		run := experiment.NewRunner(experiment.Params{Quick: true, N: 4000, TableN: 20000, Seed: 1})
+		if err := bench.Run(context.Background(), run, name, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,12 +246,12 @@ func BenchmarkSimEndToEnd(b *testing.B) {
 	d := benchDataset(b, 10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := optchain.Simulate(sim.Config{
+		res, err := optchain.SimulateContext(context.Background(), sim.Config{
 			Dataset:    d,
 			Shards:     8,
 			Validators: 32,
 			Rate:       2000,
-			Placer:     sim.PlacerOptChain,
+			Placer:     "OptChain",
 			Seed:       1,
 		})
 		if err != nil {

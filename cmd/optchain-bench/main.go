@@ -62,8 +62,8 @@
 //
 // -baseline-json FILE measures the hot-path micro-benchmarks and one quick
 // simulation per strategy × protocol, and writes the machine-readable
-// performance record tracked as BENCH_baseline.json (`make bench-json`),
-// schema v4. -cpuprofile/-memprofile/-trace capture runtime profiles of
+// performance record tracked as BENCH_baseline.json (`make bench-json`) at
+// schema experiment.BaselineSchema. -cpuprofile/-memprofile/-trace capture runtime profiles of
 // any run (see PERFORMANCE.md).
 package main
 
@@ -79,7 +79,7 @@ import (
 
 	"optchain"
 	"optchain/experiment"
-	_ "optchain/internal/bench" // registers the named paper sweeps
+	"optchain/internal/bench"
 	"optchain/internal/profiling"
 )
 
@@ -120,7 +120,7 @@ func run() int {
 	flag.Parse()
 
 	if *list {
-		fmt.Println(strings.Join(optchain.ExperimentNames(), "\n"))
+		fmt.Println(strings.Join(bench.Names(), "\n"))
 		return 0
 	}
 	if *listSweeps {
@@ -208,7 +208,7 @@ func run() int {
 		}
 	}
 
-	params := optchain.BenchParams{
+	params := experiment.Params{
 		N:          *n,
 		TableN:     *tableN,
 		Seed:       *seed,
@@ -253,7 +253,7 @@ func run() int {
 		params.Workloads = specs
 	}
 
-	h := optchain.NewBenchHarness(params)
+	runner := experiment.NewRunner(params)
 
 	// One interrupt context for every mode: Ctrl-C cancels the experiment,
 	// sweep, or baseline run between cells instead of killing mid-write.
@@ -278,7 +278,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
 			return 1
 		}
-		err = optchain.WriteBenchBaseline(ctx, h, f)
+		err = bench.WriteBaselineJSON(ctx, runner, f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -291,7 +291,7 @@ func run() int {
 	}
 
 	if *sweep != "" {
-		if err := runSweep(ctx, h, *sweep, *reporter, *out); err != nil {
+		if err := runSweep(ctx, runner, *sweep, *reporter, *out); err != nil {
 			fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
 			return 1
 		}
@@ -304,9 +304,9 @@ func run() int {
 		name = "all"
 	}
 	if name == "all" {
-		err = optchain.RunAllExperiments(ctx, h, os.Stdout)
+		err = bench.RunAll(ctx, runner, os.Stdout)
 	} else {
-		err = optchain.RunExperiment(ctx, h, name, os.Stdout)
+		err = bench.Run(ctx, runner, name, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
@@ -341,11 +341,8 @@ func runDiff(oldPath, newPath string, tol experiment.Tolerances) int {
 // runSweep streams one registered sweep through the selected reporter.
 // Cancelling ctx (Ctrl-C) stops the sweep; rows completed before the
 // interrupt are flushed to the reporter before the error is reported.
-func runSweep(ctx context.Context, h interface {
-	Report(ctx context.Context, s experiment.Sweep, rep experiment.Reporter) error
-	Params() experiment.Params
-}, name, reporterSpec, outPath string) (err error) {
-	s, err := experiment.BuildSweep(name, h.Params())
+func runSweep(ctx context.Context, runner *experiment.Runner, name, reporterSpec, outPath string) (err error) {
+	s, err := experiment.BuildSweep(name, runner.Params())
 	if err != nil {
 		return err
 	}
@@ -376,5 +373,5 @@ func runSweep(ctx context.Context, h interface {
 	if err != nil {
 		return err
 	}
-	return h.Report(ctx, s, rep)
+	return runner.Report(ctx, s, rep)
 }

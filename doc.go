@@ -159,7 +159,9 @@
 // # Registries
 //
 // Strategies, protocols, workload scenarios, reporters, and named sweeps
-// resolve by name through open registries. RegisterStrategy,
+// resolve by name through open registries, all five backed by one name
+// table: names are trimmed, matched case-insensitively, and unique, and
+// enumeration is sorted. RegisterStrategy,
 // RegisterProtocol, and RegisterWorkload add new ones, which become
 // selectable everywhere a name is accepted —
 // WithStrategy/WithProtocol/WithWorkload, SimConfig, and the

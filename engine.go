@@ -36,9 +36,6 @@ var (
 	ErrBadOption = errors.New("optchain: invalid option")
 	// ErrRunning reports a second concurrent Run on the same Engine.
 	ErrRunning = errors.New("optchain: engine run already in progress")
-	// ErrUnknownExperiment reports an experiment name RunExperiment does not
-	// know.
-	ErrUnknownExperiment = errors.New("optchain: unknown experiment")
 )
 
 // MetricsSnapshot is a point-in-time view of an Engine's progress: the
@@ -860,9 +857,9 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 		Shards:        e.shards,
 		Validators:    e.validators,
 		Rate:          e.rate,
-		Placer:        sim.PlacerKind(e.strategy),
+		Placer:        e.strategy,
 		MetisPart:     part,
-		Protocol:      sim.ProtocolKind(e.protocol),
+		Protocol:      e.protocol,
 		Clients:       e.clients,
 		Net:           e.netCfg,
 		Shard:         e.shardCfg,

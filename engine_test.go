@@ -304,10 +304,7 @@ func TestPlaceStreamMatchesBatchCrossShardFraction(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		batch, err := optchain.NewPlacer(optchain.Strategy(strategy), k, d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		batch := mustPlacer(t, strategy, k, d)
 		frac := optchain.CrossShardFraction(d, batch)
 
 		if stats.Placed != d.Len() {

@@ -17,11 +17,12 @@
 //	for row, err := range r.Stream(ctx, sweep) { ... }
 //
 // Three registries mirror optchain.RegisterStrategy / RegisterProtocol /
-// RegisterWorkload:
+// RegisterWorkload, and share their name table (trimmed, case-insensitive,
+// unique names):
 //
 //   - RegisterReporter: result sinks. Built-ins: "text" (aligned table),
 //     "jsonl" (one JSON object per row), "csv", and "baseline" (the
-//     BENCH_baseline.json writer, schema v4).
+//     BENCH_baseline.json writer, schema BaselineSchema).
 //   - RegisterSweep: named sweep definitions, selectable from
 //     cmd/optchain-bench via -sweep / -list-sweeps. internal/bench
 //     registers the paper's grids (grid, peak, scenarios, table1, ...).
@@ -72,7 +73,9 @@ var (
 	// ErrUnknownSweep reports a sweep name with no registered builder.
 	ErrUnknownSweep = errors.New("experiment: unknown sweep")
 	// ErrBadRegistration reports an invalid registry call (empty name, nil
-	// factory or builder, duplicate name) for reporters and sweeps.
+	// factory or builder, duplicate name) for reporters and sweeps. Empty
+	// and duplicate names additionally wrap the shared name-table errors
+	// (ErrEmptyName / ErrDuplicateName of optchain.RegisterStrategy).
 	ErrBadRegistration = errors.New("experiment: invalid registration")
 	// ErrBadCache reports an unusable row cache or diff input: a corrupt or
 	// truncated cache line, a duplicate cell ID, a schema mismatch, or a

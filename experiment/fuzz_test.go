@@ -50,3 +50,45 @@ func FuzzDiffRows(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseReporterSpec fuzzes the reporter spec decoder behind
+// cmd/optchain-bench -reporter. The contract under fuzzing: never panic,
+// fail only with ErrUnknownReporter or ErrBadReporterOption, and on success
+// name a registered reporter with non-empty option keys. Wired into `make
+// fuzz-smoke`.
+func FuzzParseReporterSpec(f *testing.F) {
+	for _, s := range []string{
+		"text",
+		"jsonl",
+		"csv:header=off",
+		" CSV : header = off ",
+		"baseline:stamp=off",
+		"diff:old=rows.jsonl,tps=0.05",
+		"csv:header=on,header=off",
+		"csv:,,header=off,",
+		"csv:=off",
+		"csv:header",
+		"nope:x=1",
+		":",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		name, opts, err := ParseReporterSpec(spec)
+		if err != nil {
+			if !errors.Is(err, ErrUnknownReporter) && !errors.Is(err, ErrBadReporterOption) {
+				t.Fatalf("ParseReporterSpec(%q): untyped error %v", spec, err)
+			}
+			return
+		}
+		if !HasReporter(name) {
+			t.Fatalf("ParseReporterSpec(%q) accepted unregistered reporter %q", spec, name)
+		}
+		for k := range opts {
+			if k == "" {
+				t.Fatalf("ParseReporterSpec(%q) accepted an empty option key", spec)
+			}
+		}
+	})
+}

@@ -6,7 +6,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
+
+	"optchain/internal/names"
 )
 
 // Reporter is a sweep result sink. The Runner drives it through Report:
@@ -31,36 +32,20 @@ type Reporter interface {
 // misspelled knobs fail instead of being silently inert.
 type ReporterFactory func(w io.Writer, opts map[string]string) (Reporter, error)
 
-var (
-	repMu      sync.RWMutex
-	repEntries = make(map[string]repEntry) // keyed by lower-cased name
-)
-
-type repEntry struct {
-	display string
-	factory ReporterFactory
-}
+var reporters names.Table[ReporterFactory]
 
 // RegisterReporter adds a reporter to the open registry under the given
 // case-insensitive name, making it selectable everywhere a reporter name
 // is accepted (NewReporter, cmd/optchain-bench -reporter). Registering a
-// duplicate or empty name, or a nil factory, returns an error — the same
-// rules as optchain.RegisterStrategy.
+// duplicate or empty name, or a nil factory, returns an error wrapping
+// ErrBadRegistration — the same rules as optchain.RegisterStrategy.
 func RegisterReporter(name string, f ReporterFactory) error {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return fmt.Errorf("%w: empty reporter name", ErrBadRegistration)
-	}
 	if f == nil {
 		return fmt.Errorf("%w: nil reporter factory for %q", ErrBadRegistration, name)
 	}
-	key := strings.ToLower(name)
-	repMu.Lock()
-	defer repMu.Unlock()
-	if prev, ok := repEntries[key]; ok {
-		return fmt.Errorf("%w: reporter %q already registered", ErrBadRegistration, prev.display)
+	if err := reporters.Register(name, f); err != nil {
+		return fmt.Errorf("%w: reporter: %w", ErrBadRegistration, err)
 	}
-	repEntries[key] = repEntry{display: name, factory: f}
 	return nil
 }
 
@@ -72,28 +57,18 @@ func mustRegisterReporter(name string, f ReporterFactory) {
 }
 
 // Reporters enumerates the registered reporter names, sorted.
-func Reporters() []string {
-	repMu.RLock()
-	defer repMu.RUnlock()
-	out := make([]string, 0, len(repEntries))
-	for _, e := range repEntries {
-		out = append(out, e.display)
-	}
-	sort.Strings(out)
-	return out
-}
+func Reporters() []string { return reporters.Names(nil) }
 
 // HasReporter reports whether name resolves to a registered reporter.
 func HasReporter(name string) bool {
-	repMu.RLock()
-	defer repMu.RUnlock()
-	_, ok := repEntries[strings.ToLower(strings.TrimSpace(name))]
+	_, ok := reporters.Lookup(name)
 	return ok
 }
 
 // ParseReporterSpec splits a reporter spec "name[:key=value,...]" into the
 // registry name and its option map. The name is validated against the
-// registry; option keys are validated later, by the named factory.
+// registry and a repeated option key fails with ErrBadReporterOption;
+// option keys are otherwise validated later, by the named factory.
 func ParseReporterSpec(spec string) (string, map[string]string, error) {
 	s := strings.TrimSpace(spec)
 	name, rest, found := strings.Cut(s, ":")
@@ -118,7 +93,12 @@ func ParseReporterSpec(spec string) (string, map[string]string, error) {
 				return "", nil, fmt.Errorf("%w: reporter %q option %q is not key=value",
 					ErrBadReporterOption, name, tok)
 			}
-			opts[strings.TrimSpace(k)] = strings.TrimSpace(v)
+			k = strings.TrimSpace(k)
+			if _, dup := opts[k]; dup {
+				return "", nil, fmt.Errorf("%w: reporter %q repeats option %q",
+					ErrBadReporterOption, name, k)
+			}
+			opts[k] = strings.TrimSpace(v)
 		}
 	}
 	return name, opts, nil
@@ -132,10 +112,8 @@ func NewReporter(spec string, w io.Writer) (Reporter, error) {
 	if err != nil {
 		return nil, err
 	}
-	repMu.RLock()
-	e := repEntries[strings.ToLower(name)]
-	repMu.RUnlock()
-	return e.factory(w, opts)
+	f, _ := reporters.Lookup(name)
+	return f(w, opts)
 }
 
 // checkReporterOpts rejects option keys outside the reporter's allowed set.

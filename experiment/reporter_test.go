@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"optchain/experiment"
+	"optchain/internal/names"
 )
 
 func TestReporterRegistry(t *testing.T) {
@@ -22,8 +23,19 @@ func TestReporterRegistry(t *testing.T) {
 	if _, err := experiment.NewReporter("nope", &strings.Builder{}); !errors.Is(err, experiment.ErrUnknownReporter) {
 		t.Fatalf("unknown reporter err = %v", err)
 	}
-	if err := experiment.RegisterReporter("text", nil); err == nil {
-		t.Fatal("duplicate/nil registration accepted")
+	if err := experiment.RegisterReporter("text", nil); !errors.Is(err, experiment.ErrBadRegistration) {
+		t.Fatalf("nil-factory registration err = %v, want ErrBadRegistration", err)
+	}
+	// Name errors wrap both the package sentinel and the shared name-table
+	// sentinel, so either match works.
+	noop := func(io.Writer, map[string]string) (experiment.Reporter, error) { return nil, nil }
+	err := experiment.RegisterReporter(" TEXT ", noop)
+	if !errors.Is(err, experiment.ErrBadRegistration) || !errors.Is(err, names.ErrDuplicateName) {
+		t.Fatalf("duplicate registration err = %v, want ErrBadRegistration and ErrDuplicateName", err)
+	}
+	err = experiment.RegisterReporter(" ", noop)
+	if !errors.Is(err, experiment.ErrBadRegistration) || !errors.Is(err, names.ErrEmptyName) {
+		t.Fatalf("blank registration err = %v, want ErrBadRegistration and ErrEmptyName", err)
 	}
 }
 
@@ -31,7 +43,8 @@ func TestReporterRegistry(t *testing.T) {
 // of being silently inert.
 func TestReporterKnobValidation(t *testing.T) {
 	var sb strings.Builder
-	for _, spec := range []string{"jsonl:compact=yes", "csv:sep=tab", "text:width=9", "baseline:nope=1", "csv:header=maybe"} {
+	for _, spec := range []string{"jsonl:compact=yes", "csv:sep=tab", "text:width=9", "baseline:nope=1", "csv:header=maybe",
+		"csv:header=on,header=off", "diff:old=a,old=b", "text:header=off, header =off"} {
 		if _, err := experiment.NewReporter(spec, &sb); !errors.Is(err, experiment.ErrBadReporterOption) {
 			t.Errorf("NewReporter(%q) err = %v, want ErrBadReporterOption", spec, err)
 		}
@@ -177,7 +190,7 @@ func parseNum(t *testing.T, field, s string) float64 {
 
 // TestBaselineReporterRouting: streamed rows land in the Scenarios
 // section, materialized rows in Sim, each with a stable cell ID and the
-// reporter provenance stamped at schema v4.
+// reporter provenance stamped at the current BaselineSchema.
 func TestBaselineReporterRouting(t *testing.T) {
 	r := experiment.NewRunner(quickParams())
 	var sb strings.Builder
@@ -229,6 +242,19 @@ func TestBaselineReporterRouting(t *testing.T) {
 func TestSweepRegistry(t *testing.T) {
 	if err := experiment.RegisterSweep("", "", nil); err == nil {
 		t.Fatal("empty sweep registration accepted")
+	}
+	build := func(experiment.Params) (experiment.Sweep, error) { return experiment.Sweep{}, nil }
+	// Already registered when the test binary reruns this test (-count).
+	if err := experiment.RegisterSweep("dup-probe", "", build); err != nil && !errors.Is(err, names.ErrDuplicateName) {
+		t.Fatal(err)
+	}
+	err := experiment.RegisterSweep(" DUP-PROBE ", "", build)
+	if !errors.Is(err, experiment.ErrBadRegistration) || !errors.Is(err, names.ErrDuplicateName) {
+		t.Fatalf("duplicate sweep err = %v, want ErrBadRegistration and ErrDuplicateName", err)
+	}
+	err = experiment.RegisterSweep("\t", "", build)
+	if !errors.Is(err, experiment.ErrBadRegistration) || !errors.Is(err, names.ErrEmptyName) {
+		t.Fatalf("blank sweep err = %v, want ErrBadRegistration and ErrEmptyName", err)
 	}
 	if _, err := experiment.BuildSweep("definitely-not-registered", quickParams()); !errors.Is(err, experiment.ErrUnknownSweep) {
 		t.Fatalf("err = %v", err)

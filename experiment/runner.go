@@ -329,8 +329,8 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 		Shards:     c.Shards,
 		Validators: r.p.Validators,
 		Rate:       c.Rate,
-		Placer:     sim.PlacerKind(c.Strategy),
-		Protocol:   sim.ProtocolKind(proto),
+		Placer:     c.Strategy,
+		Protocol:   proto,
 		Seed:       r.p.Seed,
 		MaxSimTime: 20 * time.Minute,
 		Alpha:      c.Alpha,
@@ -377,7 +377,7 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 		}
 		// EqualFold, not ==: strategy names resolve case-insensitively
 		// everywhere else, and "metis" must get its partition wired too.
-		if strings.EqualFold(c.Strategy, string(sim.PlacerMetis)) {
+		if strings.EqualFold(c.Strategy, "Metis") {
 			part, err := r.partition(txs, c.Shards, c.Workload)
 			if err != nil {
 				return Row{}, err

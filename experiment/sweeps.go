@@ -2,9 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
+
+	"optchain/internal/names"
 )
 
 // SweepBuilder materializes a named sweep definition against the
@@ -12,37 +12,25 @@ import (
 // axes default from Params.Strategies, and so on).
 type SweepBuilder func(p Params) (Sweep, error)
 
-var (
-	swMu      sync.RWMutex
-	swEntries = make(map[string]sweepEntry) // keyed by lower-cased name
-)
-
 type sweepEntry struct {
-	display     string
 	description string
 	build       SweepBuilder
 }
+
+var sweeps names.Table[sweepEntry]
 
 // RegisterSweep adds a named sweep definition to the open registry, making
 // it selectable from cmd/optchain-bench -sweep (and enumerable with
 // -list-sweeps). internal/bench registers the paper's grids; externally
 // defined sweeps register here exactly like built-ins. The same naming
-// rules as RegisterStrategy apply.
+// rules as RegisterReporter apply.
 func RegisterSweep(name, description string, build SweepBuilder) error {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return fmt.Errorf("%w: empty sweep name", ErrBadRegistration)
-	}
 	if build == nil {
 		return fmt.Errorf("%w: nil sweep builder for %q", ErrBadRegistration, name)
 	}
-	key := strings.ToLower(name)
-	swMu.Lock()
-	defer swMu.Unlock()
-	if prev, ok := swEntries[key]; ok {
-		return fmt.Errorf("%w: sweep %q already registered", ErrBadRegistration, prev.display)
+	if err := sweeps.Register(name, sweepEntry{description: description, build: build}); err != nil {
+		return fmt.Errorf("%w: sweep: %w", ErrBadRegistration, err)
 	}
-	swEntries[key] = sweepEntry{display: name, description: description, build: build}
 	return nil
 }
 
@@ -54,39 +42,25 @@ func MustRegisterSweep(name, description string, build SweepBuilder) {
 }
 
 // SweepNames enumerates the registered sweep names, sorted.
-func SweepNames() []string {
-	swMu.RLock()
-	defer swMu.RUnlock()
-	out := make([]string, 0, len(swEntries))
-	for _, e := range swEntries {
-		out = append(out, e.display)
-	}
-	sort.Strings(out)
-	return out
-}
+func SweepNames() []string { return sweeps.Names(nil) }
 
 // SweepDescription returns the registered one-line description for name
 // ("" when unknown).
 func SweepDescription(name string) string {
-	swMu.RLock()
-	defer swMu.RUnlock()
-	return swEntries[strings.ToLower(strings.TrimSpace(name))].description
+	e, _ := sweeps.Lookup(name)
+	return e.description
 }
 
 // HasSweep reports whether name resolves to a registered sweep.
 func HasSweep(name string) bool {
-	swMu.RLock()
-	defer swMu.RUnlock()
-	_, ok := swEntries[strings.ToLower(strings.TrimSpace(name))]
+	_, ok := sweeps.Lookup(name)
 	return ok
 }
 
 // BuildSweep materializes the named sweep against p. Unknown names list
 // the registry.
 func BuildSweep(name string, p Params) (Sweep, error) {
-	swMu.RLock()
-	e, ok := swEntries[strings.ToLower(strings.TrimSpace(name))]
-	swMu.RUnlock()
+	e, ok := sweeps.Lookup(name)
 	if !ok {
 		return Sweep{}, fmt.Errorf("%w %q (registered: %s)",
 			ErrUnknownSweep, name, strings.Join(SweepNames(), ", "))

@@ -12,23 +12,9 @@ import (
 	"optchain/internal/txgraph"
 )
 
-// Baseline re-exports the machine-readable performance record (see
-// experiment.Baseline; the writer is the experiment package's "baseline"
-// reporter at schema v4).
-type Baseline = experiment.Baseline
-
-// BaselineItem is one micro-benchmark entry (see experiment.BaselineItem).
-type BaselineItem = experiment.BaselineItem
-
-// BaselineSim is one end-to-end simulation cell (see experiment.BaselineSim).
-type BaselineSim = experiment.BaselineSim
-
-// BaselineSchema is the current BENCH_baseline.json schema tag.
-const BaselineSchema = experiment.BaselineSchema
-
 // baselinePlaceBench replays the dataset through a fresh placer per
 // iteration, reporting per-transaction cost.
-func baselinePlaceBench(name string, d datasetLike, mk func() placement.Placer) BaselineItem {
+func baselinePlaceBench(name string, d datasetLike, mk func() placement.Placer) experiment.BaselineItem {
 	n := d.Len()
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -45,7 +31,7 @@ func baselinePlaceBench(name string, d datasetLike, mk func() placement.Placer) 
 	})
 	ops := float64(r.N) * float64(n)
 	ns := float64(r.T.Nanoseconds()) / ops
-	item := BaselineItem{
+	item := experiment.BaselineItem{
 		Name:        name,
 		Unit:        "tx",
 		NsPerOp:     ns,
@@ -68,7 +54,7 @@ type datasetLike interface {
 
 // baselineDESBench measures the event kernel's schedule+fire cost per
 // event via a self-rescheduling tick chain.
-func baselineDESBench() BaselineItem {
+func baselineDESBench() experiment.BaselineItem {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		s := des.New()
@@ -87,7 +73,7 @@ func baselineDESBench() BaselineItem {
 	})
 	ops := float64(r.N)
 	ns := float64(r.T.Nanoseconds()) / ops
-	item := BaselineItem{
+	item := experiment.BaselineItem{
 		Name:        "des_schedule_fire",
 		Unit:        "event",
 		NsPerOp:     ns,
@@ -105,12 +91,12 @@ func baselineDESBench() BaselineItem {
 const baselineMicroN = 50_000
 
 // collectMicro measures the hot-path micro-benchmarks.
-func collectMicro(h *Harness) ([]BaselineItem, error) {
-	n := h.Params().N
+func collectMicro(run *experiment.Runner) ([]experiment.BaselineItem, error) {
+	n := run.Params().N
 	if n > baselineMicroN {
 		n = baselineMicroN
 	}
-	d, err := h.Dataset(n)
+	d, err := run.Dataset(n)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +105,7 @@ func collectMicro(h *Harness) ([]BaselineItem, error) {
 	for i := range tel.Comm {
 		tel.Comm[i], tel.Verify[i] = 10, 0.5
 	}
-	return []BaselineItem{
+	return []experiment.BaselineItem{
 		baselinePlaceBench("t2s_prepare_commit", d, func() placement.Placer {
 			p := core.NewT2SPlacer(16, d.Len(), core.DefaultAlpha, core.DefaultCapacityEps)
 			p.Scores().SetOutCounts(outCounts)
@@ -143,8 +129,8 @@ func collectMicro(h *Harness) ([]BaselineItem, error) {
 // BaselineSimSweep is the Sim section of the baseline record: one quick
 // end-to-end cell per strategy × protocol, uncached so the wall clock
 // measures a real run. Cells run in canonical order (protocol outer,
-// strategy inner), materialized on the harness's default workload.
-func BaselineSimSweep(p Params) experiment.Sweep {
+// strategy inner), materialized on the runner's default workload.
+func BaselineSimSweep(p experiment.Params) experiment.Sweep {
 	var cells []experiment.Cell
 	for _, proto := range []string{"omniledger", "rapidchain"} {
 		for _, s := range placers(p) {
@@ -172,7 +158,7 @@ func BaselineSimSweep(p Params) experiment.Sweep {
 // and parallel, because the gate compares deterministic quality metrics
 // (steady_tps, cross_fraction), not wall clocks, and its second run is the
 // resumed-from-cache proof.
-func QualitySweep(p Params) experiment.Sweep {
+func QualitySweep(p experiment.Params) experiment.Sweep {
 	return experiment.Sweep{
 		Name:        "quality",
 		Description: "baseline-joinable strategy x protocol cells for the placement-quality gate (make quality-gate)",
@@ -183,7 +169,7 @@ func QualitySweep(p Params) experiment.Sweep {
 // BaselineScenarioSweep is the Scenarios section: OptChain vs
 // OmniLedger-random on every workload scenario, streamed (no dataset
 // materialization), uncached for honest wall clocks.
-func BaselineScenarioSweep(p Params) experiment.Sweep {
+func BaselineScenarioSweep(p experiment.Params) experiment.Sweep {
 	var cells []experiment.Cell
 	for _, name := range scenarioNames(p) {
 		for _, s := range []string{"OptChain", "OmniLedger"} {
@@ -212,18 +198,18 @@ func BaselineScenarioSweep(p Params) experiment.Sweep {
 // Uncached: cells run one at a time so per-cell wall-clock rates are not
 // distorted by contention, and every cell executes for real even when the
 // grid sweeps already cached an identical one.
-func collectBaselineInto(ctx context.Context, h *Harness, rep *experiment.BaselineReporter) error {
-	micro, err := collectMicro(h)
+func collectBaselineInto(ctx context.Context, run *experiment.Runner, rep *experiment.BaselineReporter) error {
+	micro, err := collectMicro(run)
 	if err != nil {
 		return err
 	}
 	rep.SetMicro(micro)
-	simSweep := BaselineSimSweep(h.Params())
-	if err := rep.Begin(simSweep, h.Params()); err != nil {
+	simSweep := BaselineSimSweep(run.Params())
+	if err := rep.Begin(simSweep, run.Params()); err != nil {
 		return err
 	}
-	for _, sweep := range []experiment.Sweep{simSweep, BaselineScenarioSweep(h.Params())} {
-		for row, err := range h.Stream(ctx, sweep) {
+	for _, sweep := range []experiment.Sweep{simSweep, BaselineScenarioSweep(run.Params())} {
+		for row, err := range run.Stream(ctx, sweep) {
 			if err != nil {
 				return err
 			}
@@ -238,9 +224,9 @@ func collectBaselineInto(ctx context.Context, h *Harness, rep *experiment.Baseli
 // CollectBaseline measures the hot-path micro-benchmarks and one quick
 // end-to-end simulation per strategy × protocol plus the per-scenario
 // section, returning the accumulated record without writing it.
-func CollectBaseline(ctx context.Context, h *Harness) (*Baseline, error) {
+func CollectBaseline(ctx context.Context, run *experiment.Runner) (*experiment.Baseline, error) {
 	rep := experiment.NewBaselineReporter(io.Discard)
-	if err := collectBaselineInto(ctx, h, rep); err != nil {
+	if err := collectBaselineInto(ctx, run, rep); err != nil {
 		return nil, err
 	}
 	return rep.Baseline(), nil
@@ -248,10 +234,10 @@ func CollectBaseline(ctx context.Context, h *Harness) (*Baseline, error) {
 
 // WriteBaselineJSON measures (see CollectBaseline) and writes the indented
 // JSON report, stamped with the current UTC time, through the experiment
-// package's baseline reporter.
-func WriteBaselineJSON(ctx context.Context, h *Harness, w io.Writer) error {
+// package's baseline reporter at schema experiment.BaselineSchema.
+func WriteBaselineJSON(ctx context.Context, run *experiment.Runner, w io.Writer) error {
 	rep := experiment.NewBaselineReporter(w)
-	if err := collectBaselineInto(ctx, h, rep); err != nil {
+	if err := collectBaselineInto(ctx, run, rep); err != nil {
 		return err
 	}
 	return rep.End()

@@ -19,35 +19,14 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"optchain/experiment"
 	"optchain/internal/workload"
 )
 
-// Params scales the experiments (alias of experiment.Params; see that type
-// for field documentation).
-type Params = experiment.Params
-
-// Harness owns sweep execution and the shared caches — a thin wrapper
-// around the public experiment.Runner that adds the paper's named
-// experiments.
-type Harness struct {
-	*experiment.Runner
-}
-
-// NewHarness prepares a harness with the given parameters.
-func NewHarness(p Params) *Harness {
-	return &Harness{Runner: experiment.NewRunner(p)}
-}
-
-// workloadLabel names the stream driving the figure/table sweeps — the
-// selected workload spec, or the calibrated default.
-func (h *Harness) workloadLabel() string { return h.Params().WorkloadLabel() }
-
 // simGrids returns the shard and rate grids for simulation experiments.
-func simGrids(p Params) (shards []int, rates []float64) {
+func simGrids(p experiment.Params) (shards []int, rates []float64) {
 	if p.Quick {
 		return []int{4, 8}, []float64{1000, 2000}
 	}
@@ -55,7 +34,7 @@ func simGrids(p Params) (shards []int, rates []float64) {
 }
 
 // tableShards returns the shard grid for Tables I-II.
-func tableShards(p Params) []int {
+func tableShards(p experiment.Params) []int {
 	if p.Quick {
 		return []int{4, 16}
 	}
@@ -64,7 +43,7 @@ func tableShards(p Params) []int {
 
 // placers is the strategy set compared in the figures (overridable via
 // Params.Strategies).
-func placers(p Params) []string {
+func placers(p experiment.Params) []string {
 	if len(p.Strategies) > 0 {
 		return p.Strategies
 	}
@@ -73,14 +52,14 @@ func placers(p Params) []string {
 
 // maxGrid returns the largest shard count and rate of the sweep — the
 // configuration Figs. 5-7 and 10 single out (paper: 16 shards, 6000 tps).
-func maxGrid(p Params) (int, float64) {
+func maxGrid(p experiment.Params) (int, float64) {
 	shards, rates := simGrids(p)
 	return shards[len(shards)-1], rates[len(rates)-1]
 }
 
 // simCell is the canonical grid cell: the runner-default protocol and
-// stream length, streamed when the harness runs in streaming mode.
-func simCell(p Params, strategy string, k int, rate float64) experiment.Cell {
+// stream length, streamed when the runner's Params ask for streaming.
+func simCell(p experiment.Params, strategy string, k int, rate float64) experiment.Cell {
 	return experiment.Cell{
 		Kind:     experiment.KindSim,
 		Strategy: strategy,
@@ -90,14 +69,14 @@ func simCell(p Params, strategy string, k int, rate float64) experiment.Cell {
 	}
 }
 
-// row executes (or reads from cache) one canonical grid cell.
-func (h *Harness) row(ctx context.Context, strategy string, k int, rate float64) (experiment.Row, error) {
-	return h.Cell(ctx, simCell(h.Params(), strategy, k, rate))
+// gridRow executes (or reads from cache) one canonical grid cell.
+func gridRow(ctx context.Context, run *experiment.Runner, strategy string, k int, rate float64) (experiment.Row, error) {
+	return run.Cell(ctx, simCell(run.Params(), strategy, k, rate))
 }
 
 // scenarioRow executes (or reads from cache) one streamed scenario cell.
-func (h *Harness) scenarioRow(ctx context.Context, spec, strategy string, shards int, rate float64) (experiment.Row, error) {
-	return h.Cell(ctx, experiment.Cell{
+func scenarioRow(ctx context.Context, run *experiment.Runner, spec, strategy string, shards int, rate float64) (experiment.Row, error) {
+	return run.Cell(ctx, experiment.Cell{
 		Kind:     experiment.KindSim,
 		Strategy: strategy,
 		Shards:   shards,
@@ -109,14 +88,14 @@ func (h *Harness) scenarioRow(ctx context.Context, spec, strategy string, shards
 
 // warm pre-executes a sweep across the worker budget so the sequential
 // render loop below it reads every cell from cache.
-func (h *Harness) warm(ctx context.Context, s experiment.Sweep) error {
-	_, err := h.Collect(ctx, s)
+func warm(ctx context.Context, run *experiment.Runner, s experiment.Sweep) error {
+	_, err := run.Collect(ctx, s)
 	return err
 }
 
 // GridSweep is the full Fig. 3 sweep: every (strategy, shards, rate) cell
 // of the simulation grid.
-func GridSweep(p Params) experiment.Sweep {
+func GridSweep(p experiment.Params) experiment.Sweep {
 	shards, rates := simGrids(p)
 	return experiment.Sweep{
 		Name:        "grid",
@@ -129,7 +108,7 @@ func GridSweep(p Params) experiment.Sweep {
 
 // PeakSweep is one cell per compared strategy at the peak configuration —
 // the set Figs. 5-7 and 10 consume.
-func PeakSweep(p Params) experiment.Sweep {
+func PeakSweep(p experiment.Params) experiment.Sweep {
 	k, r := maxGrid(p)
 	return experiment.Sweep{
 		Name:        "peak",
@@ -142,7 +121,7 @@ func PeakSweep(p Params) experiment.Sweep {
 
 // SaturationSweep is the Fig. 11 scalability run: each shard count offered
 // more load than it can serve, measuring sustainable throughput.
-func SaturationSweep(p Params) experiment.Sweep {
+func SaturationSweep(p experiment.Params) experiment.Sweep {
 	shardGrid := []int{4, 8, 16, 32, 62}
 	if p.Quick {
 		shardGrid = []int{4, 8}
@@ -177,7 +156,7 @@ func SaturationSweep(p Params) experiment.Sweep {
 // Params.Workloads override (entries may be full specs, e.g.
 // "mix:bitcoin=0.7,hotspot=0.3"), or every standalone registered scenario
 // (replay is excluded by default — it needs a trace-file argument).
-func scenarioNames(p Params) []string {
+func scenarioNames(p experiment.Params) []string {
 	if len(p.Workloads) > 0 {
 		return p.Workloads
 	}
@@ -187,7 +166,7 @@ func scenarioNames(p Params) []string {
 // scenarioPlacers is the strategy set compared per scenario. Metis is
 // excluded even when configured: it replays an offline partition of a
 // materialized graph, which contradicts a streaming scenario by definition.
-func scenarioPlacers(p Params) []string {
+func scenarioPlacers(p experiment.Params) []string {
 	var out []string
 	for _, s := range placers(p) {
 		if !strings.EqualFold(s, "Metis") {
@@ -199,7 +178,7 @@ func scenarioPlacers(p Params) []string {
 
 // scenarioGrid returns the (shards, rate) configuration of the scenario
 // sweep — the paper's mid-size setup, shrunk under Quick.
-func scenarioGrid(p Params) (int, float64) {
+func scenarioGrid(p experiment.Params) (int, float64) {
 	if p.Quick {
 		return 4, 1000
 	}
@@ -209,7 +188,7 @@ func scenarioGrid(p Params) (int, float64) {
 // ScenariosSweep compares the placement strategies across every workload
 // scenario, streamed — the dimension the paper's single-trace evaluation
 // lacks.
-func ScenariosSweep(p Params) experiment.Sweep {
+func ScenariosSweep(p experiment.Params) experiment.Sweep {
 	shards, rate := scenarioGrid(p)
 	var cells []experiment.Cell
 	for _, name := range scenarioNames(p) {
@@ -233,7 +212,7 @@ func ScenariosSweep(p Params) experiment.Sweep {
 
 // SmokeSweep is the tiny streaming sweep CI pushes through the JSONL
 // reporter (`make sweep-smoke`): 2 strategies x 2 shard counts, streamed.
-func SmokeSweep(p Params) experiment.Sweep {
+func SmokeSweep(p experiment.Params) experiment.Sweep {
 	return experiment.Sweep{
 		Name:        "smoke",
 		Description: "tiny 2x2 streaming sweep for CI smoke validation",
@@ -248,7 +227,7 @@ func SmokeSweep(p Params) experiment.Sweep {
 func init() {
 	for _, s := range []struct {
 		name  string
-		build func(Params) experiment.Sweep
+		build func(experiment.Params) experiment.Sweep
 	}{
 		{"grid", GridSweep},
 		{"peak", PeakSweep},
@@ -264,57 +243,70 @@ func init() {
 		{"l2s", L2SSweep},
 	} {
 		build := s.build
-		probe := build(Params{})
-		experiment.MustRegisterSweep(s.name, probe.Description, func(p Params) (experiment.Sweep, error) {
+		probe := build(experiment.Params{})
+		experiment.MustRegisterSweep(s.name, probe.Description, func(p experiment.Params) (experiment.Sweep, error) {
 			return build(p), nil
 		})
 	}
 }
 
-// Experiments maps CLI names to paper-layout renderers. Every renderer
-// threads the caller's context into its cells, so cancelling it (Ctrl-C in
-// cmd/optchain-bench) stops mid-grid instead of finishing the sweep.
-var Experiments = map[string]func(ctx context.Context, h *Harness, w io.Writer) error{
-	"fig2":             Fig2,
-	"table1":           TableI,
-	"table2":           TableII,
-	"fig3":             Fig3,
-	"fig4":             Fig4,
-	"fig5":             Fig5,
-	"fig6":             Fig6,
-	"fig7":             Fig7,
-	"fig8":             Fig8,
-	"fig9":             Fig9,
-	"fig10":            Fig10,
-	"fig11":            Fig11,
-	"scenarios":        Scenarios,
-	"ablation-l2s":     AblationL2S,
-	"ablation-alpha":   AblationAlpha,
-	"ablation-weight":  AblationWeight,
-	"ablation-backend": AblationBackend,
+// Experiment is one paper-layout report: a CLI name and its renderer.
+// Every renderer threads the caller's context into its cells, so
+// cancelling it (Ctrl-C in cmd/optchain-bench) stops mid-grid instead of
+// finishing the sweep.
+type Experiment struct {
+	Name   string
+	Render func(ctx context.Context, run *experiment.Runner, w io.Writer) error
+}
+
+// Experiments lists the paper-layout reports in canonical order: the
+// paper's tables and figures as it presents them, then the workload lab
+// and the ablations.
+var Experiments = []Experiment{
+	{"fig2", Fig2},
+	{"table1", TableI},
+	{"table2", TableII},
+	{"fig3", Fig3},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"scenarios", Scenarios},
+	{"ablation-l2s", AblationL2S},
+	{"ablation-alpha", AblationAlpha},
+	{"ablation-weight", AblationWeight},
+	{"ablation-backend", AblationBackend},
 }
 
 // Names returns the experiment names in canonical order.
 func Names() []string {
-	names := make([]string, 0, len(Experiments))
-	for n := range Experiments {
-		names = append(names, n)
+	names := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		names[i] = e.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// RunAll executes every experiment in canonical order.
-func RunAll(ctx context.Context, h *Harness, w io.Writer) error {
-	order := []string{
-		"fig2", "table1", "table2",
-		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"scenarios",
-		"ablation-l2s", "ablation-alpha", "ablation-weight", "ablation-backend",
+// Run executes the named experiment, writing its report to w. Unknown
+// names fail with an error listing the available ones.
+func Run(ctx context.Context, run *experiment.Runner, name string, w io.Writer) error {
+	for _, e := range Experiments {
+		if e.Name == name {
+			return e.Render(ctx, run, w)
+		}
 	}
-	for _, name := range order {
-		if err := Experiments[name](ctx, h, w); err != nil {
-			return fmt.Errorf("bench: %s: %w", name, err)
+	return fmt.Errorf("bench: unknown experiment %q (have %s)", name, strings.Join(Names(), " "))
+}
+
+// RunAll executes every experiment in canonical order.
+func RunAll(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	for _, e := range Experiments {
+		if err := e.Render(ctx, run, w); err != nil {
+			return fmt.Errorf("bench: %s: %w", e.Name, err)
 		}
 		fmt.Fprintln(w)
 	}

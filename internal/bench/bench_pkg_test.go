@@ -9,26 +9,34 @@ import (
 	"optchain/experiment"
 )
 
-func quickHarness() *Harness {
-	return NewHarness(Params{Quick: true, N: 4000, TableN: 20000, Seed: 1})
+func quickRunner() *experiment.Runner {
+	return experiment.NewRunner(experiment.Params{Quick: true, N: 4000, TableN: 20000, Seed: 1})
 }
 
 func TestNamesCoversAll(t *testing.T) {
-	names := Names()
-	if len(names) != len(Experiments) {
-		t.Fatalf("Names() returned %d of %d", len(names), len(Experiments))
+	want := []string{
+		"fig2", "table1", "table2",
+		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+		"scenarios",
+		"ablation-l2s", "ablation-alpha", "ablation-weight", "ablation-backend",
 	}
-	for _, want := range []string{"table1", "table2", "fig2", "fig3", "fig11", "ablation-weight"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("experiment %q missing", want)
-		}
+	if got := Names(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Names() = %v, want canonical order %v", got, want)
+	}
+}
+
+func TestRunNamedExperiment(t *testing.T) {
+	run := experiment.NewRunner(experiment.Params{Quick: true, N: 3000, TableN: 10000})
+	var buf bytes.Buffer
+	if err := Run(context.Background(), run, "fig2", &buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() == 0 {
+		t.Fatal("fig2 produced no output")
+	}
+	err := Run(context.Background(), run, "nope", &buf)
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "ablation-backend") {
+		t.Fatalf("unknown experiment error = %v, want the name and the available list", err)
 	}
 }
 
@@ -44,7 +52,7 @@ func TestSweepsRegistered(t *testing.T) {
 }
 
 func TestScenariosQuick(t *testing.T) {
-	h := NewHarness(Params{Quick: true, N: 2000, Seed: 1, Workloads: []string{"hotspot", "adversarial"}})
+	h := experiment.NewRunner(experiment.Params{Quick: true, N: 2000, Seed: 1, Workloads: []string{"hotspot", "adversarial"}})
 	var buf bytes.Buffer
 	if err := Scenarios(context.Background(), h, &buf); err != nil {
 		t.Fatal(err)
@@ -61,7 +69,7 @@ func TestScenariosQuick(t *testing.T) {
 }
 
 func TestScenarioCellsCacheAndMetisMaterializes(t *testing.T) {
-	h := NewHarness(Params{Quick: true, N: 1500, Seed: 1})
+	h := experiment.NewRunner(experiment.Params{Quick: true, N: 1500, Seed: 1})
 	cell := experiment.Cell{
 		Kind: experiment.KindSim, Strategy: "OptChain", Shards: 4, Rate: 1000,
 		Workload: "burst", Streamed: true,
@@ -96,12 +104,12 @@ func TestScenarioCellsCacheAndMetisMaterializes(t *testing.T) {
 }
 
 func TestBaselineHasScenarioSection(t *testing.T) {
-	h := NewHarness(Params{Quick: true, N: 1200, Seed: 1, Workloads: []string{"hotspot"}})
+	h := experiment.NewRunner(experiment.Params{Quick: true, N: 1200, Seed: 1, Workloads: []string{"hotspot"}})
 	b, err := CollectBaseline(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Schema != BaselineSchema || !strings.HasSuffix(b.Schema, "/v6") {
+	if b.Schema != experiment.BaselineSchema || !strings.HasSuffix(b.Schema, "/v6") {
 		t.Fatalf("schema = %q", b.Schema)
 	}
 	if b.Reporter != experiment.BaselineReporterName {
@@ -134,7 +142,7 @@ func TestBaselineHasScenarioSection(t *testing.T) {
 }
 
 func TestTableIQuick(t *testing.T) {
-	h := quickHarness()
+	h := quickRunner()
 	var buf bytes.Buffer
 	if err := TableI(context.Background(), h, &buf); err != nil {
 		t.Fatal(err)
@@ -152,7 +160,7 @@ func TestTableIQuick(t *testing.T) {
 }
 
 func TestTableIIQuick(t *testing.T) {
-	h := quickHarness()
+	h := quickRunner()
 	var buf bytes.Buffer
 	if err := TableII(context.Background(), h, &buf); err != nil {
 		t.Fatal(err)
@@ -163,7 +171,7 @@ func TestTableIIQuick(t *testing.T) {
 }
 
 func TestFig2Quick(t *testing.T) {
-	h := quickHarness()
+	h := quickRunner()
 	var buf bytes.Buffer
 	if err := Fig2(context.Background(), h, &buf); err != nil {
 		t.Fatal(err)
@@ -179,10 +187,10 @@ func TestSimFiguresQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	h := quickHarness()
+	h := quickRunner()
 	for _, name := range []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"} {
 		var buf bytes.Buffer
-		if err := Experiments[name](context.Background(), h, &buf); err != nil {
+		if err := Run(context.Background(), h, name, &buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if buf.Len() == 0 {
@@ -195,10 +203,10 @@ func TestAblationsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations in -short mode")
 	}
-	h := quickHarness()
+	h := quickRunner()
 	for _, name := range []string{"ablation-l2s", "ablation-alpha", "ablation-weight", "ablation-backend"} {
 		var buf bytes.Buffer
-		if err := Experiments[name](context.Background(), h, &buf); err != nil {
+		if err := Run(context.Background(), h, name, &buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !strings.Contains(buf.String(), "Ablation") {
@@ -208,12 +216,12 @@ func TestAblationsQuick(t *testing.T) {
 }
 
 func TestRunCacheReusesResults(t *testing.T) {
-	h := quickHarness()
-	a, err := h.row(context.Background(), "OmniLedger", 4, 1000)
+	h := quickRunner()
+	a, err := gridRow(context.Background(), h, "OmniLedger", 4, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.row(context.Background(), "OmniLedger", 4, 1000)
+	b, err := gridRow(context.Background(), h, "OmniLedger", 4, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +231,7 @@ func TestRunCacheReusesResults(t *testing.T) {
 }
 
 func TestDatasetCacheKeyedByLength(t *testing.T) {
-	h := quickHarness()
+	h := quickRunner()
 	a, err := h.Dataset(1000)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +257,7 @@ func TestDatasetCacheKeyedByLength(t *testing.T) {
 // the reports say so.
 func TestWorkloadThreadsThroughSweeps(t *testing.T) {
 	const spec = "mix:bitcoin=0.7,hotspot=0.3"
-	h := NewHarness(Params{
+	h := experiment.NewRunner(experiment.Params{
 		Quick:      true,
 		N:          1500,
 		TableN:     4000,
@@ -265,7 +273,7 @@ func TestWorkloadThreadsThroughSweeps(t *testing.T) {
 		t.Fatalf("materialized workload length = %d", d.Len())
 	}
 	// The mix stream must differ from the calibrated default generator.
-	plain := NewHarness(Params{Quick: true, N: 1500, Seed: 1})
+	plain := experiment.NewRunner(experiment.Params{Quick: true, N: 1500, Seed: 1})
 	pd, err := plain.Dataset(1500)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +290,7 @@ func TestWorkloadThreadsThroughSweeps(t *testing.T) {
 	}
 	for _, name := range []string{"fig5", "table1", "ablation-alpha"} {
 		var buf bytes.Buffer
-		if err := Experiments[name](context.Background(), h, &buf); err != nil {
+		if err := Run(context.Background(), h, name, &buf); err != nil {
 			t.Fatalf("%s with workload: %v", name, err)
 		}
 		if !strings.Contains(buf.String(), "workload="+spec) {
@@ -298,7 +306,7 @@ func TestStreamingGridSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	h := NewHarness(Params{
+	h := experiment.NewRunner(experiment.Params{
 		Quick:      true,
 		N:          1500,
 		Seed:       1,

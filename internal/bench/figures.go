@@ -10,13 +10,13 @@ import (
 
 // Fig3 prints, per strategy, the latency and throughput grid over
 // (shard count × transaction rate) — the paper's Fig. 3 heat plots.
-func Fig3(ctx context.Context, h *Harness, w io.Writer) error {
-	p := h.Params()
-	if err := h.warm(ctx, GridSweep(p)); err != nil {
+func Fig3(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	p := run.Params()
+	if err := warm(ctx, run, GridSweep(p)); err != nil {
 		return err
 	}
 	shards, rates := simGrids(p)
-	fmt.Fprintf(w, "== Fig. 3 — latency & throughput grids (n=%d, %d validators/shard, workload=%s) ==\n", p.N, p.Validators, h.workloadLabel())
+	fmt.Fprintf(w, "== Fig. 3 — latency & throughput grids (n=%d, %d validators/shard, workload=%s) ==\n", p.N, p.Validators, run.Params().WorkloadLabel())
 	for _, s := range placers(p) {
 		fmt.Fprintf(w, "-- %s: avg latency seconds (rows: shards, cols: rate) --\n", s)
 		fmt.Fprintf(w, "%-7s", "k\\rate")
@@ -27,7 +27,7 @@ func Fig3(ctx context.Context, h *Harness, w io.Writer) error {
 		for _, k := range shards {
 			fmt.Fprintf(w, "%-7d", k)
 			for _, r := range rates {
-				row, err := h.row(ctx, s, k, r)
+				row, err := gridRow(ctx, run, s, k, r)
 				if err != nil {
 					return err
 				}
@@ -44,7 +44,7 @@ func Fig3(ctx context.Context, h *Harness, w io.Writer) error {
 		for _, k := range shards {
 			fmt.Fprintf(w, "%-7d", k)
 			for _, r := range rates {
-				row, err := h.row(ctx, s, k, r)
+				row, err := gridRow(ctx, run, s, k, r)
 				if err != nil {
 					return err
 				}
@@ -58,14 +58,14 @@ func Fig3(ctx context.Context, h *Harness, w io.Writer) error {
 
 // Fig4 prints system throughput: (a) at the largest shard count across
 // rates, and (b) the maximum over the whole grid per strategy.
-func Fig4(ctx context.Context, h *Harness, w io.Writer) error {
-	p := h.Params()
-	if err := h.warm(ctx, GridSweep(p)); err != nil {
+func Fig4(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	p := run.Params()
+	if err := warm(ctx, run, GridSweep(p)); err != nil {
 		return err
 	}
 	shards, rates := simGrids(p)
 	kMax := shards[len(shards)-1]
-	fmt.Fprintf(w, "== Fig. 4a — throughput at %d shards (workload=%s) ==\n", kMax, h.workloadLabel())
+	fmt.Fprintf(w, "== Fig. 4a — throughput at %d shards (workload=%s) ==\n", kMax, run.Params().WorkloadLabel())
 	fmt.Fprintf(w, "%-10s", "rate")
 	for _, s := range placers(p) {
 		fmt.Fprintf(w, "%12s", s)
@@ -74,7 +74,7 @@ func Fig4(ctx context.Context, h *Harness, w io.Writer) error {
 	for _, r := range rates {
 		fmt.Fprintf(w, "%-10.0f", r)
 		for _, s := range placers(p) {
-			row, err := h.row(ctx, s, kMax, r)
+			row, err := gridRow(ctx, run, s, kMax, r)
 			if err != nil {
 				return err
 			}
@@ -89,7 +89,7 @@ func Fig4(ctx context.Context, h *Harness, w io.Writer) error {
 		bestK, bestR := 0, 0.0
 		for _, k := range shards {
 			for _, r := range rates {
-				row, err := h.row(ctx, s, k, r)
+				row, err := gridRow(ctx, run, s, k, r)
 				if err != nil {
 					return err
 				}
@@ -106,13 +106,13 @@ func Fig4(ctx context.Context, h *Harness, w io.Writer) error {
 
 // Fig5 prints the committed-transactions timeline at the peak
 // configuration (paper: 16 shards, 6000 tps, 50 s windows).
-func Fig5(ctx context.Context, h *Harness, w io.Writer) error {
-	p := h.Params()
-	if err := h.warm(ctx, PeakSweep(p)); err != nil {
+func Fig5(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	p := run.Params()
+	if err := warm(ctx, run, PeakSweep(p)); err != nil {
 		return err
 	}
 	k, r := maxGrid(p)
-	fmt.Fprintf(w, "== Fig. 5 — committed tx per window (k=%d, rate=%.0f, workload=%s; windows scale with run length) ==\n", k, r, h.workloadLabel())
+	fmt.Fprintf(w, "== Fig. 5 — committed tx per window (k=%d, rate=%.0f, workload=%s; windows scale with run length) ==\n", k, r, run.Params().WorkloadLabel())
 	fmt.Fprintf(w, "%-8s", "window")
 	for _, s := range placers(p) {
 		fmt.Fprintf(w, "%12s", s)
@@ -121,7 +121,7 @@ func Fig5(ctx context.Context, h *Harness, w io.Writer) error {
 	series := make(map[string][]int64, len(placers(p)))
 	maxLen := 0
 	for _, s := range placers(p) {
-		row, err := h.row(ctx, s, k, r)
+		row, err := gridRow(ctx, run, s, k, r)
 		if err != nil {
 			return err
 		}
@@ -146,15 +146,15 @@ func Fig5(ctx context.Context, h *Harness, w io.Writer) error {
 
 // Fig6 prints each strategy's max and min shard queue sizes over time at
 // the peak configuration.
-func Fig6(ctx context.Context, h *Harness, w io.Writer) error {
-	p := h.Params()
-	if err := h.warm(ctx, PeakSweep(p)); err != nil {
+func Fig6(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	p := run.Params()
+	if err := warm(ctx, run, PeakSweep(p)); err != nil {
 		return err
 	}
 	k, r := maxGrid(p)
-	fmt.Fprintf(w, "== Fig. 6 — max/min shard queue sizes over time (k=%d, rate=%.0f, workload=%s) ==\n", k, r, h.workloadLabel())
+	fmt.Fprintf(w, "== Fig. 6 — max/min shard queue sizes over time (k=%d, rate=%.0f, workload=%s) ==\n", k, r, run.Params().WorkloadLabel())
 	for _, s := range placers(p) {
-		row, err := h.row(ctx, s, k, r)
+		row, err := gridRow(ctx, run, s, k, r)
 		if err != nil {
 			return err
 		}
@@ -172,13 +172,13 @@ func Fig6(ctx context.Context, h *Harness, w io.Writer) error {
 
 // Fig7 prints the queue max/min ratio over time — the temporal-balance
 // comparison.
-func Fig7(ctx context.Context, h *Harness, w io.Writer) error {
-	p := h.Params()
-	if err := h.warm(ctx, PeakSweep(p)); err != nil {
+func Fig7(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	p := run.Params()
+	if err := warm(ctx, run, PeakSweep(p)); err != nil {
 		return err
 	}
 	k, r := maxGrid(p)
-	fmt.Fprintf(w, "== Fig. 7 — queue size max/min ratio over time (k=%d, rate=%.0f, workload=%s) ==\n", k, r, h.workloadLabel())
+	fmt.Fprintf(w, "== Fig. 7 — queue size max/min ratio over time (k=%d, rate=%.0f, workload=%s) ==\n", k, r, run.Params().WorkloadLabel())
 	fmt.Fprintf(w, "%-8s", "sample")
 	for _, s := range placers(p) {
 		fmt.Fprintf(w, "%12s", s)
@@ -187,7 +187,7 @@ func Fig7(ctx context.Context, h *Harness, w io.Writer) error {
 	ratios := make(map[string][]float64, len(placers(p)))
 	maxLen := 0
 	for _, s := range placers(p) {
-		row, err := h.row(ctx, s, k, r)
+		row, err := gridRow(ctx, run, s, k, r)
 		if err != nil {
 			return err
 		}
@@ -212,14 +212,14 @@ func Fig7(ctx context.Context, h *Harness, w io.Writer) error {
 }
 
 // latencyFigure factors Figs. 8 and 9 (average vs maximum latency).
-func latencyFigure(ctx context.Context, h *Harness, w io.Writer, title, paperNote string, pick func(experiment.Row) float64) error {
-	p := h.Params()
-	if err := h.warm(ctx, GridSweep(p)); err != nil {
+func latencyFigure(ctx context.Context, run *experiment.Runner, w io.Writer, title, paperNote string, pick func(experiment.Row) float64) error {
+	p := run.Params()
+	if err := warm(ctx, run, GridSweep(p)); err != nil {
 		return err
 	}
 	shards, rates := simGrids(p)
 	kMax := shards[len(shards)-1]
-	fmt.Fprintf(w, "== %s (a) at %d shards (workload=%s) ==\n", title, kMax, h.workloadLabel())
+	fmt.Fprintf(w, "== %s (a) at %d shards (workload=%s) ==\n", title, kMax, run.Params().WorkloadLabel())
 	fmt.Fprintf(w, "%-10s", "rate")
 	for _, s := range placers(p) {
 		fmt.Fprintf(w, "%12s", s)
@@ -228,7 +228,7 @@ func latencyFigure(ctx context.Context, h *Harness, w io.Writer, title, paperNot
 	for _, r := range rates {
 		fmt.Fprintf(w, "%-10.0f", r)
 		for _, s := range placers(p) {
-			row, err := h.row(ctx, s, kMax, r)
+			row, err := gridRow(ctx, run, s, kMax, r)
 			if err != nil {
 				return err
 			}
@@ -240,7 +240,7 @@ func latencyFigure(ctx context.Context, h *Harness, w io.Writer, title, paperNot
 	for _, r := range rates {
 		bestK := shards[len(shards)-1]
 		for _, k := range shards {
-			row, err := h.row(ctx, "OptChain", k, r)
+			row, err := gridRow(ctx, run, "OptChain", k, r)
 			if err != nil {
 				return err
 			}
@@ -251,7 +251,7 @@ func latencyFigure(ctx context.Context, h *Harness, w io.Writer, title, paperNot
 		}
 		fmt.Fprintf(w, "rate %-6.0f @ k=%-3d", r, bestK)
 		for _, s := range placers(p) {
-			row, err := h.row(ctx, s, bestK, r)
+			row, err := gridRow(ctx, run, s, bestK, r)
 			if err != nil {
 				return err
 			}
@@ -264,29 +264,29 @@ func latencyFigure(ctx context.Context, h *Harness, w io.Writer, title, paperNot
 }
 
 // Fig8 prints average transaction latency.
-func Fig8(ctx context.Context, h *Harness, w io.Writer) error {
-	return latencyFigure(ctx, h, w, "Fig. 8 — average latency (s)",
+func Fig8(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	return latencyFigure(ctx, run, w, "Fig. 8 — average latency (s)",
 		"(paper: OptChain 8.7s at 4000tps/16 shards; OmniLedger 346.2s at 6000/16)",
 		func(r experiment.Row) float64 { return r.AvgLatencySec })
 }
 
 // Fig9 prints maximum transaction latency.
-func Fig9(ctx context.Context, h *Harness, w io.Writer) error {
-	return latencyFigure(ctx, h, w, "Fig. 9 — maximum latency (s)",
+func Fig9(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	return latencyFigure(ctx, run, w, "Fig. 9 — maximum latency (s)",
 		"(paper at 6000/16: OptChain 100.9s; OmniLedger 1309.5s; Metis 1345.9s; Greedy 628.9s)",
 		func(r experiment.Row) float64 { return r.MaxLatencySec })
 }
 
 // Fig10 prints the latency CDF at the peak configuration.
-func Fig10(ctx context.Context, h *Harness, w io.Writer) error {
-	p := h.Params()
-	if err := h.warm(ctx, PeakSweep(p)); err != nil {
+func Fig10(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	p := run.Params()
+	if err := warm(ctx, run, PeakSweep(p)); err != nil {
 		return err
 	}
 	k, r := maxGrid(p)
-	fmt.Fprintf(w, "== Fig. 10 — latency CDF (k=%d, rate=%.0f, workload=%s) ==\n", k, r, h.workloadLabel())
+	fmt.Fprintf(w, "== Fig. 10 — latency CDF (k=%d, rate=%.0f, workload=%s) ==\n", k, r, run.Params().WorkloadLabel())
 	for _, s := range placers(p) {
-		row, err := h.row(ctx, s, k, r)
+		row, err := gridRow(ctx, run, s, k, r)
 		if err != nil {
 			return err
 		}
@@ -304,14 +304,14 @@ func Fig10(ctx context.Context, h *Harness, w io.Writer) error {
 // shard count is offered more load than it can serve, and the steady-state
 // commit rate is the capacity. The stream grows with the offered rate so
 // the steady window stays long enough to measure.
-func Fig11(ctx context.Context, h *Harness, w io.Writer) error {
-	p := h.Params()
+func Fig11(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	p := run.Params()
 	sweep := SaturationSweep(p)
-	rows, err := h.Collect(ctx, sweep)
+	rows, err := run.Collect(ctx, sweep)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "== Fig. 11 — OptChain scalability: sustainable tps vs shard count (workload=%s) ==\n", h.workloadLabel())
+	fmt.Fprintf(w, "== Fig. 11 — OptChain scalability: sustainable tps vs shard count (workload=%s) ==\n", run.Params().WorkloadLabel())
 	for _, row := range rows {
 		fmt.Fprintf(w, "k=%-3d offered=%-6.0f sustainable=%-6.0f avgLat=%.2fs\n",
 			row.Shards, row.Rate, row.SteadyTPS, row.AvgLatencySec)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+
+	"optchain/experiment"
 )
 
 // Scenarios compares the placement strategies across every workload
@@ -14,9 +16,9 @@ import (
 // adapt (burst, drift), and its floor (adversarial). Every cell streams its
 // scenario — nothing is materialized — which is why Metis sits this sweep
 // out.
-func Scenarios(ctx context.Context, h *Harness, w io.Writer) error {
-	p := h.Params()
-	if err := h.warm(ctx, ScenariosSweep(p)); err != nil {
+func Scenarios(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	p := run.Params()
+	if err := warm(ctx, run, ScenariosSweep(p)); err != nil {
 		return err
 	}
 	shards, rate := scenarioGrid(p)
@@ -29,7 +31,7 @@ func Scenarios(ctx context.Context, h *Harness, w io.Writer) error {
 		"scenario", "strategy", "steadyTPS", "commit%", "cross%", "retries", "queueMax")
 	for _, n := range names {
 		for _, s := range strategies {
-			row, err := h.scenarioRow(ctx, n, s, shards, rate)
+			row, err := scenarioRow(ctx, run, n, s, shards, rate)
 			if err != nil {
 				return err
 			}

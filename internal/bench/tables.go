@@ -12,12 +12,12 @@ import (
 // Fig2 prints the TaN-network characterization (paper Fig. 2 and §IV-A):
 // degree distributions, cumulative fractions, average degree over time, and
 // the node census.
-func Fig2(ctx context.Context, h *Harness, w io.Writer) error {
+func Fig2(ctx context.Context, run *experiment.Runner, w io.Writer) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p := h.Params()
-	d, err := h.Dataset(p.TableN)
+	p := run.Params()
+	d, err := run.Dataset(p.TableN)
 	if err != nil {
 		return err
 	}
@@ -26,7 +26,7 @@ func Fig2(ctx context.Context, h *Harness, w io.Writer) error {
 		return err
 	}
 	c := g.TakeCensus()
-	fmt.Fprintf(w, "== Fig. 2 — TaN network statistics (n=%d, workload=%s) ==\n", c.Nodes, h.workloadLabel())
+	fmt.Fprintf(w, "== Fig. 2 — TaN network statistics (n=%d, workload=%s) ==\n", c.Nodes, run.Params().WorkloadLabel())
 	fmt.Fprintf(w, "nodes=%d edges=%d avg-degree=%.2f (paper: 2.3)\n", c.Nodes, c.Edges, c.AvgInDeg)
 	fmt.Fprintf(w, "coinbase=%d unspent=%d isolated=%d\n", c.Coinbase, c.Unspent, c.Isolated)
 
@@ -69,7 +69,7 @@ var tableINames = []string{"Metis", "Greedy", "OmniLedger", "T2S"}
 
 // TableISweep is the "from scratch" offline placement sweep behind Table I:
 // every strategy places the whole stream into empty shards.
-func TableISweep(p Params) experiment.Sweep {
+func TableISweep(p experiment.Params) experiment.Sweep {
 	return experiment.Sweep{
 		Name:        "table1",
 		Description: "offline % cross-TX from scratch per (shards x strategy) — Table I",
@@ -91,18 +91,18 @@ func placementCell(strategy string, k, warm int) experiment.Cell {
 
 // TableI reproduces "Percentage of cross-TXs when running from scratch":
 // every strategy places the whole stream into empty shards.
-func TableI(ctx context.Context, h *Harness, w io.Writer) error {
-	p := h.Params()
-	if err := h.warm(ctx, TableISweep(p)); err != nil {
+func TableI(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	p := run.Params()
+	if err := warm(ctx, run, TableISweep(p)); err != nil {
 		return err
 	}
 	n := p.TableN
-	fmt.Fprintf(w, "== Table I — %% cross-TX from scratch (n=%d, workload=%s) ==\n", n, h.workloadLabel())
+	fmt.Fprintf(w, "== Table I — %% cross-TX from scratch (n=%d, workload=%s) ==\n", n, run.Params().WorkloadLabel())
 	fmt.Fprintf(w, "%-4s %-10s %-10s %-12s %-10s\n", "k", "Metis", "Greedy", "OmniLedger", "T2S")
 	for _, k := range tableShards(p) {
 		fmt.Fprintf(w, "%-4d", k)
 		for i, name := range tableINames {
-			row, err := h.Cell(ctx, placementCell(name, k, 0))
+			row, err := run.Cell(ctx, placementCell(name, k, 0))
 			if err != nil {
 				return err
 			}
@@ -122,12 +122,12 @@ var tableIINames = []string{"Greedy", "OmniLedger", "T2S"}
 // tableIIWarm returns the warm-start prefix: the paper partitions a 30M
 // prefix, then streams 1M transactions; we keep the same ~30:1 proportion
 // at reduced scale.
-func tableIIWarm(p Params) int { return p.TableN * 30 / 31 }
+func tableIIWarm(p experiment.Params) int { return p.TableN * 30 / 31 }
 
 // TableIISweep is the warm-start offline placement sweep behind Table II:
 // a Metis partition seeds the shards and each online strategy places the
 // remaining window.
-func TableIISweep(p Params) experiment.Sweep {
+func TableIISweep(p experiment.Params) experiment.Sweep {
 	return experiment.Sweep{
 		Name:        "table2",
 		Description: "offline cross-TX count after a Metis warm start — Table II",
@@ -141,20 +141,20 @@ func TableIISweep(p Params) experiment.Sweep {
 // TableII reproduces "Number of cross-TXs when running from a certain stage
 // of the system": a Metis partition seeds the shards and each online
 // strategy places the remaining window.
-func TableII(ctx context.Context, h *Harness, w io.Writer) error {
-	p := h.Params()
-	if err := h.warm(ctx, TableIISweep(p)); err != nil {
+func TableII(ctx context.Context, run *experiment.Runner, w io.Writer) error {
+	p := run.Params()
+	if err := warm(ctx, run, TableIISweep(p)); err != nil {
 		return err
 	}
 	n := p.TableN
 	warm := tableIIWarm(p)
 	window := n - warm
-	fmt.Fprintf(w, "== Table II — # cross-TX in a %d-tx window after a %d-tx Metis warm start (workload=%s) ==\n", window, warm, h.workloadLabel())
+	fmt.Fprintf(w, "== Table II — # cross-TX in a %d-tx window after a %d-tx Metis warm start (workload=%s) ==\n", window, warm, run.Params().WorkloadLabel())
 	fmt.Fprintf(w, "%-4s %-10s %-12s %-10s\n", "k", "Greedy", "OmniLedger", "T2S")
 	for _, k := range tableShards(p) {
 		fmt.Fprintf(w, "%-4d", k)
 		for i, name := range tableIINames {
-			row, err := h.Cell(ctx, placementCell(name, k, warm))
+			row, err := run.Cell(ctx, placementCell(name, k, warm))
 			if err != nil {
 				return err
 			}

@@ -13,13 +13,12 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"optchain/internal/chain"
 	"optchain/internal/core"
 	"optchain/internal/des"
+	"optchain/internal/names"
 	"optchain/internal/omniledger"
 	"optchain/internal/placement"
 	"optchain/internal/rapidchain"
@@ -35,9 +34,9 @@ var (
 	// ErrUnknownProtocol is returned when a protocol name has no factory.
 	ErrUnknownProtocol = errors.New("unknown commit protocol")
 	// ErrDuplicateName is returned when registering an already-taken name.
-	ErrDuplicateName = errors.New("name already registered")
+	ErrDuplicateName = names.ErrDuplicateName
 	// ErrEmptyName is returned when registering with an empty name.
-	ErrEmptyName = errors.New("empty registration name")
+	ErrEmptyName = names.ErrEmptyName
 	// ErrNilFactory is returned when registering a nil factory.
 	ErrNilFactory = errors.New("nil factory")
 )
@@ -95,91 +94,46 @@ type ProtocolContext struct {
 // ProtocolFactory builds a commit backend from a context.
 type ProtocolFactory func(ctx ProtocolContext) (CommitBackend, error)
 
-// table is one name-indexed registry (strategies or protocols).
-type table[F any] struct {
-	mu      sync.RWMutex
-	entries map[string]entry[F] // keyed by lower-cased name
-}
-
-type entry[F any] struct {
-	display string
-	factory F
-}
-
-func newTable[F any]() *table[F] {
-	return &table[F]{entries: make(map[string]entry[F])}
-}
-
-func (t *table[F]) register(name string, f F, nilF bool) error {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return ErrEmptyName
-	}
-	if nilF {
-		return ErrNilFactory
-	}
-	key := strings.ToLower(name)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if prev, ok := t.entries[key]; ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateName, prev.display)
-	}
-	t.entries[key] = entry[F]{display: name, factory: f}
-	return nil
-}
-
-func (t *table[F]) lookup(name string) (F, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	e, ok := t.entries[strings.ToLower(strings.TrimSpace(name))]
-	return e.factory, ok
-}
-
-func (t *table[F]) names() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, e.display)
-	}
-	sort.Strings(out)
-	return out
-}
-
 var (
-	strategies = newTable[StrategyFactory]()
-	protocols  = newTable[ProtocolFactory]()
+	strategies names.Table[StrategyFactory]
+	protocols  names.Table[ProtocolFactory]
 )
 
 // RegisterStrategy adds a placement strategy under the given name. Names
 // are case-insensitive and must be unique; registering a duplicate returns
 // ErrDuplicateName.
 func RegisterStrategy(name string, f StrategyFactory) error {
-	return strategies.register(name, f, f == nil)
+	if f == nil {
+		return ErrNilFactory
+	}
+	return strategies.Register(name, f)
 }
 
 // RegisterProtocol adds a commit protocol under the given name, with the
 // same uniqueness rules as RegisterStrategy.
 func RegisterProtocol(name string, f ProtocolFactory) error {
-	return protocols.register(name, f, f == nil)
+	if f == nil {
+		return ErrNilFactory
+	}
+	return protocols.Register(name, f)
 }
 
 // Strategies returns the registered strategy names, sorted.
-func Strategies() []string { return strategies.names() }
+func Strategies() []string { return strategies.Names(nil) }
 
 // Protocols returns the registered protocol names, sorted.
-func Protocols() []string { return protocols.names() }
+func Protocols() []string { return protocols.Names(nil) }
 
 // HasStrategy reports whether name resolves to a registered strategy.
-func HasStrategy(name string) bool { _, ok := strategies.lookup(name); return ok }
+func HasStrategy(name string) bool { _, ok := strategies.Lookup(name); return ok }
 
 // HasProtocol reports whether name resolves to a registered protocol.
-func HasProtocol(name string) bool { _, ok := protocols.lookup(name); return ok }
+func HasProtocol(name string) bool { _, ok := protocols.Lookup(name); return ok }
 
 // NewStrategy builds the named strategy. Unknown names return an error
 // wrapping ErrUnknownStrategy that lists the registered names.
 func NewStrategy(name string, ctx StrategyContext) (placement.Placer, error) {
-	f, ok := strategies.lookup(name)
+	f, ok := strategies.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownStrategy, name, strings.Join(Strategies(), ", "))
 	}
@@ -192,7 +146,7 @@ func NewStrategy(name string, ctx StrategyContext) (placement.Placer, error) {
 // NewProtocol builds the named protocol backend. Unknown names return an
 // error wrapping ErrUnknownProtocol that lists the registered names.
 func NewProtocol(name string, ctx ProtocolContext) (CommitBackend, error) {
-	f, ok := protocols.lookup(name)
+	f, ok := protocols.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownProtocol, name, strings.Join(Protocols(), ", "))
 	}

@@ -29,27 +29,6 @@ import (
 	"optchain/internal/workload"
 )
 
-// PlacerKind selects the transaction placement strategy.
-type PlacerKind string
-
-// The strategies compared throughout §V.
-const (
-	PlacerOptChain PlacerKind = "OptChain"   // T2S + L2S temporal fitness (Alg. 1)
-	PlacerT2S      PlacerKind = "T2S"        // T2S only, capacity-bounded (§IV-B)
-	PlacerRandom   PlacerKind = "OmniLedger" // hash-based random placement
-	PlacerGreedy   PlacerKind = "Greedy"     // one-hop input coverage
-	PlacerMetis    PlacerKind = "Metis"      // offline Metis k-way replay
-)
-
-// ProtocolKind selects the cross-shard commit backend.
-type ProtocolKind string
-
-// Supported backends.
-const (
-	ProtoOmniLedger ProtocolKind = "omniledger"
-	ProtoRapidChain ProtocolKind = "rapidchain"
-)
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// Dataset supplies the transaction stream; Txs limits to a prefix
@@ -74,13 +53,15 @@ type Config struct {
 	// Rate is the offered load in transactions/second (paper: 2000-6000).
 	Rate float64
 
-	// Placer picks the placement strategy; MetisPart must hold the offline
-	// partition when Placer is PlacerMetis.
-	Placer    PlacerKind
+	// Placer names the placement strategy in the open registry (default
+	// "OptChain"); MetisPart must hold the offline partition when Placer is
+	// "Metis".
+	Placer    string
 	MetisPart []int32
 
-	// Protocol picks the cross-shard backend (default OmniLedger).
-	Protocol ProtocolKind
+	// Protocol names the cross-shard backend in the open registry (default
+	// "omniledger").
+	Protocol string
 
 	// Clients is the number of client nodes issuing transactions.
 	Clients int
@@ -152,13 +133,13 @@ func (c *Config) fillDefaults() error {
 		return errors.New("sim: Rate must be positive")
 	}
 	if c.Placer == "" {
-		c.Placer = PlacerOptChain
+		c.Placer = "OptChain"
 	}
-	if c.Placer == PlacerMetis && len(c.MetisPart) < c.Txs {
-		return errors.New("sim: PlacerMetis requires MetisPart covering the stream")
+	if c.Placer == "Metis" && len(c.MetisPart) < c.Txs {
+		return errors.New("sim: Placer \"Metis\" requires MetisPart covering the stream")
 	}
 	if c.Protocol == "" {
-		c.Protocol = ProtoOmniLedger
+		c.Protocol = "omniledger"
 	}
 	if c.Clients <= 0 {
 		c.Clients = 32
@@ -355,7 +336,7 @@ func (r *runner) run() (*Result, error) {
 	locate := func(id chain.TxID) int {
 		return r.placer.Assignment().ShardOf(txgraph.Node(dataset.Index(id)))
 	}
-	proto, err := registry.NewProtocol(string(cfg.Protocol), registry.ProtocolContext{
+	proto, err := registry.NewProtocol(cfg.Protocol, registry.ProtocolContext{
 		Sim:        r.sim,
 		Net:        r.net,
 		Shards:     r.shards,
@@ -484,7 +465,7 @@ func (r *runner) buildPlacer() (placement.Placer, error) {
 		// frontier (0 = unknown engages the spenders-seen-so-far fallback).
 		outCounts = func(v txgraph.Node) int { return int(r.srcOuts[v]) }
 	}
-	p, err := registry.NewStrategy(string(cfg.Placer), registry.StrategyContext{
+	p, err := registry.NewStrategy(cfg.Placer, registry.StrategyContext{
 		K:         cfg.Shards,
 		N:         cfg.Txs,
 		OutCounts: outCounts,
@@ -641,7 +622,7 @@ func (r *runner) buildResult() *Result {
 	}
 	res := &Result{
 		Placer:          r.placer.Name(),
-		Protocol:        string(r.cfg.Protocol),
+		Protocol:        r.cfg.Protocol,
 		Shards:          r.cfg.Shards,
 		Rate:            r.cfg.Rate,
 		Total:           r.cfg.Txs,

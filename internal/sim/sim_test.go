@@ -24,7 +24,7 @@ func smallDataset(t *testing.T, n int) *dataset.Dataset {
 
 // fastConfig scales the simulation down for test speed: small committees
 // and blocks, high verify cost so consensus stays realistic.
-func fastConfig(d *dataset.Dataset, placer PlacerKind, shards int, rate float64) Config {
+func fastConfig(d *dataset.Dataset, placer string, shards int, rate float64) Config {
 	return Config{
 		Dataset:    d,
 		Shards:     shards,
@@ -44,7 +44,7 @@ func fastConfig(d *dataset.Dataset, placer PlacerKind, shards int, rate float64)
 
 func TestRunCommitsEverythingOptChain(t *testing.T) {
 	d := smallDataset(t, 3000)
-	res, err := Run(fastConfig(d, PlacerOptChain, 4, 500))
+	res, err := Run(fastConfig(d, "OptChain", 4, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRunAllPlacersCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []PlacerKind{PlacerOptChain, PlacerT2S, PlacerRandom, PlacerGreedy, PlacerMetis} {
+	for _, kind := range []string{"OptChain", "T2S", "OmniLedger", "Greedy", "Metis"} {
 		cfg := fastConfig(d, kind, 4, 400)
 		cfg.MetisPart = part
 		res, err := Run(cfg)
@@ -89,7 +89,7 @@ func TestRunAllPlacersCommit(t *testing.T) {
 		if res.Committed != res.Total {
 			t.Fatalf("%s committed %d of %d", kind, res.Committed, res.Total)
 		}
-		if res.Placer != string(kind) {
+		if res.Placer != kind {
 			t.Fatalf("placer name %q, want %q", res.Placer, kind)
 		}
 	}
@@ -97,11 +97,11 @@ func TestRunAllPlacersCommit(t *testing.T) {
 
 func TestOptChainBeatsRandomOnCrossAndLatency(t *testing.T) {
 	d := smallDataset(t, 4000)
-	oc, err := Run(fastConfig(d, PlacerOptChain, 4, 600))
+	oc, err := Run(fastConfig(d, "OptChain", 4, 600))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := Run(fastConfig(d, PlacerRandom, 4, 600))
+	rnd, err := Run(fastConfig(d, "OmniLedger", 4, 600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,8 @@ func TestOptChainBeatsRandomOnCrossAndLatency(t *testing.T) {
 
 func TestRapidChainBackendWorks(t *testing.T) {
 	d := smallDataset(t, 1500)
-	cfg := fastConfig(d, PlacerOptChain, 4, 400)
-	cfg.Protocol = ProtoRapidChain
+	cfg := fastConfig(d, "OptChain", 4, 400)
+	cfg.Protocol = "rapidchain"
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestRapidChainBackendWorks(t *testing.T) {
 	if res.Committed != res.Total {
 		t.Fatalf("committed %d of %d", res.Committed, res.Total)
 	}
-	if res.Protocol != string(ProtoRapidChain) {
+	if res.Protocol != "rapidchain" {
 		t.Fatalf("protocol = %q", res.Protocol)
 	}
 }
@@ -136,7 +136,7 @@ func TestOverloadBacklogsButCapStops(t *testing.T) {
 	// A rate far above the system's capacity with a short cap: the sim
 	// must stop at the cap and report partial commitment.
 	d := smallDataset(t, 4000)
-	cfg := fastConfig(d, PlacerRandom, 2, 100000)
+	cfg := fastConfig(d, "OmniLedger", 2, 100000)
 	cfg.MaxSimTime = 20 * time.Second
 	res, err := Run(cfg)
 	if err != nil {
@@ -152,11 +152,11 @@ func TestOverloadBacklogsButCapStops(t *testing.T) {
 
 func TestHigherRateDoesNotLowerThroughputOptChain(t *testing.T) {
 	d := smallDataset(t, 3000)
-	lo, err := Run(fastConfig(d, PlacerOptChain, 4, 200))
+	lo, err := Run(fastConfig(d, "OptChain", 4, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Run(fastConfig(d, PlacerOptChain, 4, 500))
+	hi, err := Run(fastConfig(d, "OptChain", 4, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestHigherRateDoesNotLowerThroughputOptChain(t *testing.T) {
 
 func TestMoreShardsReduceLatencyUnderLoad(t *testing.T) {
 	d := smallDataset(t, 3000)
-	few, err := Run(fastConfig(d, PlacerOptChain, 2, 500))
+	few, err := Run(fastConfig(d, "OptChain", 2, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run(fastConfig(d, PlacerOptChain, 8, 500))
+	many, err := Run(fastConfig(d, "OptChain", 8, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Dataset: d, Shards: 2}); err == nil {
 		t.Fatal("zero rate accepted")
 	}
-	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, Placer: PlacerMetis}); err == nil {
+	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, Placer: "Metis"}); err == nil {
 		t.Fatal("metis without partition accepted")
 	}
 	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, Placer: "bogus"}); err == nil {
@@ -205,11 +205,11 @@ func TestConfigValidation(t *testing.T) {
 
 func TestDeterministicForSeed(t *testing.T) {
 	d := smallDataset(t, 800)
-	a, err := Run(fastConfig(d, PlacerOptChain, 4, 300))
+	a, err := Run(fastConfig(d, "OptChain", 4, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(fastConfig(d, PlacerOptChain, 4, 300))
+	b, err := Run(fastConfig(d, "OptChain", 4, 300))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // fastSourceConfig mirrors fastConfig for streaming-source runs.
-func fastSourceConfig(src workload.Source, txs int, placer PlacerKind, shards int, rate float64) Config {
+func fastSourceConfig(src workload.Source, txs int, placer string, shards int, rate float64) Config {
 	return Config{
 		Source:     src,
 		Txs:        txs,
@@ -44,7 +44,7 @@ func buildSource(t *testing.T, name string, n, shards int) workload.Source {
 func TestSourceRunCommitsEveryScenario(t *testing.T) {
 	const n, k = 2000, 4
 	for _, name := range workload.StandaloneNames() {
-		res, err := Run(fastSourceConfig(buildSource(t, name, n, k), n, PlacerOptChain, k, 500))
+		res, err := Run(fastSourceConfig(buildSource(t, name, n, k), n, "OptChain", k, 500))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -62,7 +62,7 @@ func TestSourceRunCommitsEveryScenario(t *testing.T) {
 func TestSourceRunDeterministic(t *testing.T) {
 	const n, k = 1500, 4
 	run := func() *Result {
-		res, err := Run(fastSourceConfig(buildSource(t, "hotspot", n, k), n, PlacerOptChain, k, 500))
+		res, err := Run(fastSourceConfig(buildSource(t, "hotspot", n, k), n, "OptChain", k, 500))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func (z *zeroOutSource) Next(tx *workload.Tx) bool {
 // transaction aborts the run with a clear error instead of panicking the
 // event kernel with a divide-by-zero.
 func TestSourceZeroOutputsRejected(t *testing.T) {
-	_, err := Run(fastSourceConfig(&zeroOutSource{}, 10, PlacerOptChain, 4, 500))
+	_, err := Run(fastSourceConfig(&zeroOutSource{}, 10, "OptChain", 4, 500))
 	if err == nil || !strings.Contains(err.Error(), "zero outputs") {
 		t.Fatalf("err = %v, want a zero-outputs source error", err)
 	}
@@ -122,7 +122,7 @@ func TestSourceConfigValidation(t *testing.T) {
 // transactions arrive boost× faster).
 func TestSourceBurstShapesArrivals(t *testing.T) {
 	const n, k = 12_000, 4
-	cfg := fastSourceConfig(buildSource(t, "burst", n, k), n, PlacerOptChain, k, 2000)
+	cfg := fastSourceConfig(buildSource(t, "burst", n, k), n, "OptChain", k, 2000)
 	issueDone := time.Duration(-1)
 	cfg.ProgressEvery = 100 * time.Millisecond
 	cfg.Progress = func(s Snapshot) {

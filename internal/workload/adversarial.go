@@ -63,7 +63,7 @@ const observeLag = 1024
 const advShardRing = 4096
 
 func init() {
-	mustRegister("adversarial", newAdversarial)
+	mustRegister("adversarial", entry{factory: newAdversarial})
 }
 
 func newAdversarial(p Params) (Source, error) {

@@ -23,7 +23,7 @@ type bitcoinSource struct {
 }
 
 func init() {
-	mustRegister("bitcoin", newBitcoin)
+	mustRegister("bitcoin", entry{factory: newBitcoin})
 }
 
 func newBitcoin(p Params) (Source, error) {

@@ -36,7 +36,7 @@ type burstSource struct {
 }
 
 func init() {
-	mustRegister("burst", newBurst)
+	mustRegister("burst", entry{factory: newBurst})
 }
 
 func newBurst(p Params) (Source, error) {

@@ -36,7 +36,7 @@ type driftSource struct {
 }
 
 func init() {
-	mustRegister("drift", newDrift)
+	mustRegister("drift", entry{factory: newDrift})
 }
 
 // driftCommRing bounds each community's spendable working set.

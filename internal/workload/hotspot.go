@@ -33,7 +33,7 @@ type hotspotSource struct {
 }
 
 func init() {
-	mustRegister("hotspot", newHotspot)
+	mustRegister("hotspot", entry{factory: newHotspot})
 }
 
 // hotspotWalletRing bounds each wallet's spendable working set.

@@ -144,14 +144,16 @@ func TestMixObserverRoutesToComponents(t *testing.T) {
 
 // TestMixStaggerAlignsSeeds: stagger=0 derives every component seed
 // identically, so two equal-weight copies of the same scenario emit
-// identical sub-streams; the default staggering makes them diverge.
+// identical sub-streams; the default staggering makes them diverge. The
+// copies spell their knobs in different orders because a mix may not
+// repeat a component key.
 func TestMixStaggerAlignsSeeds(t *testing.T) {
 	const n = 2000
 	pull := func(spec string) []Tx {
 		return drain(t, build(t, spec, Params{N: n, Seed: 5, Shards: 8}), n)
 	}
-	aligned := pull("mix:(burst:onmean=100,offmean=300)=0.5,(burst:onmean=100,offmean=300)=0.5,stagger=0")
-	staggered := pull("mix:(burst:onmean=100,offmean=300)=0.5,(burst:onmean=100,offmean=300)=0.5")
+	aligned := pull("mix:(burst:onmean=100,offmean=300)=0.5,(burst:offmean=300,onmean=100)=0.5,stagger=0")
+	staggered := pull("mix:(burst:onmean=100,offmean=300)=0.5,(burst:offmean=300,onmean=100)=0.5")
 	gapsDiffer := func(txs []Tx) bool {
 		// With aligned seeds both components share one phase schedule, so a
 		// fast (ON) transaction and a slow (OFF) transaction can never be
@@ -191,7 +193,7 @@ func TestMixStaggerAlignsSeeds(t *testing.T) {
 func TestMixFractionalStaggerSeparatesSeeds(t *testing.T) {
 	const n = 2000
 	p := Params{N: n, Seed: 5, Shards: 8}
-	src := build(t, "mix:hotspot=0.5,hotspot=0.5,stagger=0.5", p)
+	src := build(t, "mix:(hotspot:exp=1.2,wallets=5000)=0.5,(hotspot:wallets=5000,exp=1.2)=0.5,stagger=0.5", p)
 	obsrv, _ := src.(*mixSource)
 	if len(obsrv.comps) != 2 {
 		t.Fatalf("built %d components", len(obsrv.comps))

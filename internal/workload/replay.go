@@ -51,7 +51,7 @@ type replaySource struct {
 }
 
 func init() {
-	mustRegisterComposite("replay", newReplay, true)
+	mustRegister("replay", entry{factory: newReplay, composite: true, needsArgs: true})
 }
 
 func newReplay(p Params) (Source, error) {

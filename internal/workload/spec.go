@@ -14,7 +14,8 @@ import (
 //	value = number | "(" , spec , ")" | word ;
 //
 // Commas and "=" nested inside parentheses belong to the inner spec, so
-// composite scenarios compose recursively: a mix of a mix is legal.
+// composite scenarios compose recursively: a mix of a mix is legal. A key
+// may appear only once per level; positional arguments carry no key.
 //
 //	hotspot:exp=1.5,wallets=5000
 //	mix:bitcoin=0.7,hotspot=0.2,adversarial=0.1
@@ -213,6 +214,11 @@ func Parse(spec string) (Spec, error) {
 			}
 			if a.Value == "" {
 				return Spec{}, fmt.Errorf("%w: argument %q in spec %q has an empty value", ErrBadParam, tok, spec)
+			}
+			for _, prev := range out.Args {
+				if prev.Key == a.Key {
+					return Spec{}, fmt.Errorf("%w: spec %q repeats argument %q", ErrBadParam, spec, a.Key)
+				}
 			}
 		} else {
 			a.Value = stripParens(tok)

@@ -40,9 +40,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"optchain/internal/dataset"
+	"optchain/internal/names"
 )
 
 // Typed errors. Callers match them with errors.Is.
@@ -56,9 +56,9 @@ var (
 	// spending an output older than its window). Raise the window knob.
 	ErrWindowExceeded = errors.New("workload: translation window exceeded")
 	// ErrDuplicateName is returned when registering an already-taken name.
-	ErrDuplicateName = errors.New("workload: name already registered")
+	ErrDuplicateName = names.ErrDuplicateName
 	// ErrEmptyName is returned when registering with an empty name.
-	ErrEmptyName = errors.New("workload: empty registration name")
+	ErrEmptyName = names.ErrEmptyName
 	// ErrNilFactory is returned when registering a nil factory.
 	ErrNilFactory = errors.New("workload: nil factory")
 )
@@ -226,113 +226,64 @@ func checkArgs(scenario string, p Params, allowed ...string) error {
 // Factory builds a scenario source from parameters.
 type Factory func(p Params) (Source, error)
 
-var (
-	regMu   sync.RWMutex
-	entries = make(map[string]regEntry) // keyed by lower-cased name
-)
-
-type regEntry struct {
-	display   string
+// entry is one registered scenario.
+type entry struct {
 	factory   Factory
 	composite bool // consumes structured spec arguments (mix, replay)
 	needsArgs bool // cannot build from bare Params (replay needs a trace file)
 }
+
+var scenarios names.Table[entry]
 
 // Register adds a scenario under the given case-insensitive name, making it
 // selectable everywhere a workload name is accepted: optchain.WithWorkload,
 // sim.Config, and the -workload flags of the cmd/ binaries. Registering a
 // duplicate name returns ErrDuplicateName.
 func Register(name string, f Factory) error {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return ErrEmptyName
-	}
 	if f == nil {
 		return ErrNilFactory
 	}
-	key := strings.ToLower(name)
-	regMu.Lock()
-	defer regMu.Unlock()
-	if prev, ok := entries[key]; ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateName, prev.display)
-	}
-	entries[key] = regEntry{display: name, factory: f}
-	return nil
+	return scenarios.Register(name, entry{factory: f})
 }
 
 // mustRegister registers a built-in; failure is a programming error.
-func mustRegister(name string, f Factory) {
-	if err := Register(name, f); err != nil {
+// Composite built-ins (mix, replay) set e.composite; needsArgs additionally
+// marks a scenario unbuildable from bare Params (replay needs a trace
+// file), which excludes it from StandaloneNames and thus from default
+// scenario sweeps.
+func mustRegister(name string, e entry) {
+	if err := scenarios.Register(name, e); err != nil {
 		panic(fmt.Sprintf("workload: built-in scenario %q: %v", name, err))
 	}
-}
-
-// mustRegisterComposite registers a built-in that consumes structured spec
-// arguments (mix components, replay's trace path) rather than only numeric
-// knobs. needsArgs additionally marks it unbuildable from bare Params
-// (replay needs a trace file), which excludes it from StandaloneNames and
-// thus from default scenario sweeps.
-func mustRegisterComposite(name string, f Factory, needsArgs bool) {
-	mustRegister(name, f)
-	key := strings.ToLower(name)
-	regMu.Lock()
-	e := entries[key]
-	e.composite = true
-	e.needsArgs = needsArgs
-	entries[key] = e
-	regMu.Unlock()
 }
 
 // isComposite reports whether the named scenario consumes structured spec
 // arguments.
 func isComposite(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return entries[strings.ToLower(strings.TrimSpace(name))].composite
+	e, _ := scenarios.Lookup(name)
+	return e.composite
 }
 
 // Names returns the registered scenario names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.display)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return scenarios.Names(nil) }
 
 // StandaloneNames returns the registered scenarios that build from bare
 // Params — every scenario except the ones needing spec arguments (replay,
 // which needs a trace file). Default scenario sweeps cover exactly this set.
 func StandaloneNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.needsArgs {
-			out = append(out, e.display)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return scenarios.Names(func(e entry) bool { return !e.needsArgs })
 }
 
 // Standalone reports whether the named scenario builds from bare Params
 // (false for replay, which needs a trace file argument).
 func Standalone(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := entries[strings.ToLower(strings.TrimSpace(name))]
+	e, ok := scenarios.Lookup(name)
 	return ok && !e.needsArgs
 }
 
 // Has reports whether name resolves to a registered scenario.
 func Has(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := entries[strings.ToLower(strings.TrimSpace(name))]
+	_, ok := scenarios.Lookup(name)
 	return ok
 }
 
@@ -361,9 +312,7 @@ func New(spec string, p Params) (Source, error) {
 	if len(ps.Args) > 0 {
 		p.Args = append(append([]Arg(nil), p.Args...), ps.Args...)
 	}
-	regMu.RLock()
-	e := entries[strings.ToLower(ps.Name)] // Parse validated the name
-	regMu.RUnlock()
+	e, _ := scenarios.Lookup(ps.Name) // Parse validated the name
 	return e.factory(p.fillDefaults())
 }
 

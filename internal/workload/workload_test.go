@@ -72,6 +72,21 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
 		}
 	}
+	// A key repeated at one level is an error naming the key, never a
+	// silent last-wins; positional arguments carry no key and may repeat.
+	for _, bad := range []string{"burst:boost=2,boost=3", "mix:bitcoin=0.5,bitcoin=0.5",
+		"mix:(bitcoin)=0.5,bitcoin=0.5", "replay:a.tan,mod=burst,mod=drift"} {
+		_, err := Parse(bad)
+		if !errors.Is(err, ErrBadParam) || !strings.Contains(err.Error(), "repeats argument") {
+			t.Errorf("Parse(%q) error = %v, want ErrBadParam naming the repeated key", bad, err)
+		}
+	}
+	if _, err := Parse("mix:(hotspot:exp=1.2)=0.5,(hotspot:exp=1.5)=0.5"); err != nil {
+		t.Errorf("distinct nested components rejected: %v", err)
+	}
+	if _, err := Parse("replay:a.tan,b.tan"); err != nil {
+		t.Errorf("repeated positional arguments rejected: %v", err)
+	}
 	// Composite scenarios keep their structured arguments parseable.
 	if _, _, err := ParseSpec("mix:bitcoin=0.5,hotspot=0.5"); err != nil {
 		t.Fatalf("ParseSpec(mix) = %v", err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"optchain"
+	"optchain/internal/registry"
 )
 
 func smallData(t *testing.T) *optchain.Dataset {
@@ -20,9 +21,14 @@ func smallData(t *testing.T) *optchain.Dataset {
 	return d
 }
 
-func mustPlacer(t *testing.T, s optchain.Strategy, k int, d *optchain.Dataset) optchain.Placer {
+// mustPlacer builds a bare registered strategy over d — the placer a
+// RegisterStrategy factory would return, outside any Engine.
+func mustPlacer(t *testing.T, strategy string, k int, d *optchain.Dataset) optchain.Placer {
 	t.Helper()
-	p, err := optchain.NewPlacer(s, k, d)
+	p, err := registry.NewStrategy(strategy, optchain.StrategyContext{
+		K: k, N: d.Len(),
+		OutCounts: func(v optchain.Node) int { return d.NumOutputs(int(v)) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +38,8 @@ func mustPlacer(t *testing.T, s optchain.Strategy, k int, d *optchain.Dataset) o
 func TestFacadeCrossShardOrdering(t *testing.T) {
 	d := smallData(t)
 	const k = 8
-	oc := optchain.CrossShardFraction(d, mustPlacer(t, optchain.StrategyOptChain, k, d))
-	rnd := optchain.CrossShardFraction(d, mustPlacer(t, optchain.StrategyRandom, k, d))
+	oc := optchain.CrossShardFraction(d, mustPlacer(t, "OptChain", k, d))
+	rnd := optchain.CrossShardFraction(d, mustPlacer(t, "OmniLedger", k, d))
 	if oc >= rnd {
 		t.Fatalf("OptChain %.3f not below random %.3f", oc, rnd)
 	}
@@ -44,10 +50,7 @@ func TestFacadeCrossShardOrdering(t *testing.T) {
 
 func TestFacadeAllStrategiesConstruct(t *testing.T) {
 	d := smallData(t)
-	for _, s := range []optchain.Strategy{
-		optchain.StrategyOptChain, optchain.StrategyT2S,
-		optchain.StrategyRandom, optchain.StrategyGreedy,
-	} {
+	for _, s := range []string{"OptChain", "T2S", "OmniLedger", "Greedy"} {
 		p := mustPlacer(t, s, 4, d)
 		if got := optchain.CrossShardFraction(d, p); got < 0 || got > 1 {
 			t.Fatalf("%s cross fraction %v", s, got)
@@ -55,20 +58,18 @@ func TestFacadeAllStrategiesConstruct(t *testing.T) {
 	}
 }
 
-func TestFacadeNewPlacerErrors(t *testing.T) {
+func TestFacadeOptChainPlacerErrors(t *testing.T) {
 	d := smallData(t)
-	if _, err := optchain.NewPlacer("nope", 4, d); !errors.Is(err, optchain.ErrUnknownStrategy) {
-		t.Fatalf("unknown strategy error = %v", err)
-	}
-	if _, err := optchain.NewPlacer(optchain.StrategyOptChain, 0, d); !errors.Is(err, optchain.ErrBadShard) {
+	if _, err := optchain.NewOptChainPlacer(0, d, nil); !errors.Is(err, optchain.ErrBadShard) {
 		t.Fatalf("k=0 error = %v", err)
 	}
-	if _, err := optchain.NewPlacer(optchain.StrategyOptChain, 4, nil); err == nil {
-		t.Fatal("nil dataset accepted")
+	if _, err := optchain.NewOptChainPlacer(4, nil, nil); !errors.Is(err, optchain.ErrBadOption) {
+		t.Fatalf("nil dataset error = %v", err)
 	}
 	// Metis without a partition is constructible only through the Engine
-	// (which computes one) — the bare constructor must error, not panic.
-	if _, err := optchain.NewPlacer(optchain.StrategyMetis, 4, d); err == nil {
+	// (which computes one) — the bare registry factory must error, not
+	// panic.
+	if _, err := registry.NewStrategy("Metis", optchain.StrategyContext{K: 4, N: d.Len()}); err == nil {
 		t.Fatal("Metis without partition accepted")
 	}
 }
@@ -103,13 +104,13 @@ func TestFacadeMetisPlacerRejectsBadPartition(t *testing.T) {
 
 func TestFacadeSimulate(t *testing.T) {
 	d := smallData(t)
-	res, err := optchain.Simulate(optchain.SimConfig{
+	res, err := optchain.SimulateContext(context.Background(), optchain.SimConfig{
 		Dataset:    d,
 		Shards:     4,
 		Validators: 8,
 		Rate:       1000,
-		Placer:     optchain.StrategyOptChain,
-		Protocol:   optchain.ProtocolOmniLedger,
+		Placer:     "OptChain",
+		Protocol:   "omniledger",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,23 +149,5 @@ func TestFacadeDatasetRoundTrip(t *testing.T) {
 	}
 	if got.Len() != d.Len() {
 		t.Fatalf("round trip %d != %d", got.Len(), d.Len())
-	}
-}
-
-func TestFacadeExperiments(t *testing.T) {
-	names := optchain.ExperimentNames()
-	if len(names) == 0 {
-		t.Fatal("no experiments")
-	}
-	h := optchain.NewBenchHarness(optchain.BenchParams{Quick: true, N: 3000, TableN: 10000})
-	var buf bytes.Buffer
-	if err := optchain.RunExperiment(context.Background(), h, "fig2", &buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("fig2 produced no output")
-	}
-	if err := optchain.RunExperiment(context.Background(), h, "nope", &buf); err == nil {
-		t.Fatal("unknown experiment accepted")
 	}
 }
