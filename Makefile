@@ -86,17 +86,21 @@ scenario-smoke:
 # (DecodeRows and the row-cache loader must reject arbitrary bytes with
 # ErrBadCache, never panic), the reporter spec decoder (ParseReporterSpec
 # fails only with ErrUnknownReporter or ErrBadReporterOption, never
-# panics), and the engine snapshot decoder (ReadSnapshot fails only with
-# ErrBadSnapshot or ErrSnapshotUnsupported, never panics). Minimizing a new
-# input can take the whole default minute, during which nothing else is
-# explored, so the spec and snapshot targets — which find new inputs
-# quickly — cap minimization at one second per input.
+# panics), the engine snapshot decoder (ReadSnapshot fails only with
+# ErrBadSnapshot or ErrSnapshotUnsupported, never panics), and the two serve
+# decoders (a /v1/place body never panics and a 200 answers every non-blank
+# line in order; a serve state file loads or fails with ErrBadState).
+# Minimizing a new input can take the whole default minute, during which
+# nothing else is explored, so the spec, snapshot and serve targets — which
+# find new inputs quickly — cap minimization at one second per input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzDiffRows -fuzztime 10s ./experiment
 	$(GO) test -run '^$$' -fuzz FuzzParseReporterSpec -fuzztime 10s -fuzzminimizetime 1s ./experiment
 	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 10s -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz FuzzPlaceBody -fuzztime 10s -fuzzminimizetime 1s ./serve
+	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s -fuzzminimizetime 1s ./serve
 
 # Tiny 2x2 streaming sweep through the JSONL reporter, validated with the
 # sweepcheck checker: the experiment layer's data path (streamed cells,

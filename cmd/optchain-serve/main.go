@@ -51,7 +51,7 @@ func run() error {
 		streamCap  = flag.Int("stream-cap", 1_000_000, "stream capacity hint (sizes per-shard budgets)")
 		seed       = flag.Int64("seed", 1, "engine seed")
 		queue      = flag.Int("queue", serve.DefaultQueueDepth, "ingest queue depth (admission-control bound)")
-		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "max requests coalesced per engine batch")
+		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "max requests coalesced per engine batch, and max unanswered lines per /v1/place connection")
 		retryAfter = flag.Duration("retry-after", serve.DefaultRetryAfter, "backoff advertised on 429 responses")
 		statePath  = flag.String("state", "", "state file: restore on start, snapshot periodically and on shutdown")
 		snapEvery  = flag.Duration("snapshot-every", serve.DefaultSnapshotEvery, "periodic snapshot cadence (needs -state)")

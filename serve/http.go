@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -29,7 +30,8 @@ type lineResult struct {
 //
 //	POST /v1/place    — placement requests, one JSON object per line
 //	                    (JSON-lines); the response streams one decision
-//	                    line per request, in order. A single-line request
+//	                    line per request, in order, each flushed once no
+//	                    further complete line is buffered. A single-line request
 //	                    maps its outcome onto the HTTP status (429 with
 //	                    Retry-After on queue-full, 400, 503, 504).
 //	GET  /metrics     — Prometheus text exposition
@@ -69,12 +71,17 @@ type lineSlot struct {
 }
 
 // handlePlace streams placement decisions for a JSON-lines request body.
-// Lines are admitted in order; up to MaxBatch admissions are in flight
-// before the handler starts collecting their decisions, so a single
-// connection feeds full batches to the dispatcher. Admission rejections
-// (queue full) fail only the rejected line — the client retries it after
-// Retry-After — while body-level defects (oversized line, malformed JSON)
-// fail that line with code 400.
+// Lines are admitted in order, and every admitted line's decision is
+// written and flushed whenever the body holds no further complete line —
+// before any read that could block — so a client trickling lines in gets
+// each answer about as soon as the dispatcher makes it, while a client
+// sending a burst still feeds the dispatcher full batches. At most
+// MaxBatch lines per connection are admitted but unanswered. The first
+// decision is held until a second line or the end of the body is seen, so
+// a one-line body can still map its outcome onto the HTTP status.
+// Admission rejections (queue full) fail only the rejected line — the
+// client retries it after Retry-After — while body-level defects
+// (oversized line, malformed JSON) fail that line with code 400.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	// The HTTP/1 server is half-duplex by default: writing the response
@@ -82,28 +89,30 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	// Placement is a pipeline — decisions stream back while later lines are
 	// still arriving — so full duplex is required (a no-op on HTTP/2).
 	_ = http.NewResponseController(w).EnableFullDuplex()
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), maxLineBytes)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 
-	window := s.cfg.MaxBatch
-	if window < 1 {
-		window = 1
-	}
+	window := max(s.cfg.MaxBatch, 1)
 	var (
 		slots  []lineSlot
 		total  int
-		wrote  bool
 		status = http.StatusOK
 	)
-	flushWindow := func() {
-		for _, sl := range slots {
+	// flush answers the admitted lines in order. Before the body has shown
+	// a second line or ended, the first line's decision is collected but
+	// held back: writing it would commit the HTTP status too early.
+	flush := func(eof bool) {
+		wrote := false
+		for i, sl := range slots {
 			res := sl.res
 			if sl.p != nil {
 				res = s.await(ctx, sl.p)
 			}
-			if total == 1 && res.Code != 0 && !wrote {
+			if total == 1 && !eof {
+				slots[i] = lineSlot{res: res}
+				return
+			}
+			if total == 1 && res.Code != 0 {
 				// A single-request body maps its outcome onto the HTTP status
 				// so plain callers need not parse error lines.
 				status = res.Code
@@ -112,14 +121,19 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 				}
 				w.WriteHeader(status)
 			}
-			wrote = true
 			_ = enc.Encode(res)
+			wrote = true
 		}
 		slots = slots[:0]
-		if flusher != nil {
+		if wrote && flusher != nil {
 			flusher.Flush()
 		}
 	}
+	// The scanner reads the body only when its buffer holds no complete
+	// line, so flushing before every read answers all admitted lines
+	// before the handler can block waiting for more.
+	sc := bufio.NewScanner(readHook{r: r.Body, before: func() { flush(false) }})
+	sc.Buffer(make([]byte, 0, 64<<10), maxLineBytes)
 
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -147,7 +161,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if len(slots) >= window {
-			flushWindow()
+			flush(false)
 			if ctx.Err() != nil {
 				s.met.http(status)
 				return
@@ -166,10 +180,19 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		s.met.http(http.StatusBadRequest)
 		return
 	}
-	if len(slots) > 0 {
-		flushWindow()
-	}
+	flush(true)
 	s.met.http(status)
+}
+
+// readHook calls before ahead of every read from r.
+type readHook struct {
+	r      io.Reader
+	before func()
+}
+
+func (h readHook) Read(p []byte) (int, error) {
+	h.before()
+	return h.r.Read(p)
 }
 
 // await collects one admitted request's decision, honoring the request

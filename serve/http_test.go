@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -126,7 +128,8 @@ func TestPlaceEmptyBody(t *testing.T) {
 }
 
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newServer(t, serve.Config{})
+	statePath := filepath.Join(t.TempDir(), "state.bin")
+	_, ts := newServer(t, serve.Config{StatePath: statePath, SnapshotEvery: -1})
 	lines := make([]string, 50)
 	for i := range lines {
 		lines[i] = reqLine(t, serve.Request{Outputs: 2})
@@ -134,7 +137,19 @@ func TestMetricsExposition(t *testing.T) {
 	if resp, _ := postLines(t, ts, lines); resp.StatusCode != http.StatusOK {
 		t.Fatalf("place: status %d", resp.StatusCode)
 	}
+	resp, err := http.Post(ts.URL+"/v1/snapshot", "text/plain", nil)
+	if err != nil {
+		t.Fatalf("POST /v1/snapshot: %v", err)
+	}
+	resp.Body.Close()
+	state, err := os.Stat(statePath)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
 	checks := map[string]float64{
+		"optchain_serve_snapshots_total":                         1,
+		"optchain_serve_snapshot_hold_seconds_count":             1,
+		"optchain_serve_snapshot_bytes":                          float64(state.Size()),
 		"optchain_engine_placed_total":                           50,
 		`optchain_serve_lines_total{outcome="placed"}`:           50,
 		`optchain_serve_lines_total{outcome="rejected"}`:         0,
@@ -155,6 +170,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if v, ok := scrapeMetric(t, ts, "optchain_serve_place_latency_seconds_count"); !ok || v != 50 {
 		t.Errorf("latency count = %g, want 50", v)
+	}
+	if v, ok := scrapeMetric(t, ts, "optchain_serve_snapshot_hold_seconds_sum"); !ok || v <= 0 {
+		t.Errorf("optchain_serve_snapshot_hold_seconds_sum = %g, want > 0", v)
 	}
 }
 

@@ -34,6 +34,9 @@ type metrics struct {
 	snapshots  int64         // guarded by mu — state snapshots written
 	snapErrors int64         // guarded by mu — failed snapshot attempts
 	lastSnap   time.Time     // guarded by mu — completion time of the last snapshot
+	snapBytes  int           // guarded by mu — size of the last state file written
+	holdSum    float64       // guarded by mu — snapshot capture hold, seconds
+	holds      int64         // guarded by mu — snapshot captures
 }
 
 func newMetrics() *metrics {
@@ -84,10 +87,18 @@ func (m *metrics) batch(txs int) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) snapshot() {
+func (m *metrics) snapshot(size int) {
 	m.mu.Lock()
 	m.snapshots++
 	m.lastSnap = time.Now()
+	m.snapBytes = size
+	m.mu.Unlock()
+}
+
+func (m *metrics) snapshotHold(d time.Duration) {
+	m.mu.Lock()
+	m.holds++
+	m.holdSum += d.Seconds()
 	m.mu.Unlock()
 }
 
@@ -206,6 +217,13 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 	line("# HELP optchain_serve_snapshot_errors_total Failed snapshot attempts.\n")
 	line("# TYPE optchain_serve_snapshot_errors_total counter\n")
 	line("optchain_serve_snapshot_errors_total %d\n", m.snapErrors)
+	line("# HELP optchain_serve_snapshot_hold_seconds Time placement waits while a snapshot is captured (the file write is not included).\n")
+	line("# TYPE optchain_serve_snapshot_hold_seconds summary\n")
+	line("optchain_serve_snapshot_hold_seconds_sum %g\n", m.holdSum)
+	line("optchain_serve_snapshot_hold_seconds_count %d\n", m.holds)
+	line("# HELP optchain_serve_snapshot_bytes Size of the last state file written.\n")
+	line("# TYPE optchain_serve_snapshot_bytes gauge\n")
+	line("optchain_serve_snapshot_bytes %d\n", m.snapBytes)
 	if !m.lastSnap.IsZero() {
 		line("# HELP optchain_serve_last_snapshot_unix_seconds Completion time of the last snapshot.\n")
 		line("# TYPE optchain_serve_last_snapshot_unix_seconds gauge\n")

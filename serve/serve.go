@@ -17,6 +17,14 @@
 // with the deadline error. Every request the queue accepts is answered
 // with a decision — including during graceful shutdown, which drains the
 // queue before the final snapshot.
+//
+// Decisions stream: a /v1/place connection writes and flushes every
+// decision it has admitted whenever its request body holds no further
+// complete line, so a client trickling lines in gets each answer about as
+// soon as the dispatcher makes it. Snapshots hold the dispatcher only for
+// what needs a batch boundary — the engine's snapshot and one pass over
+// the id map — while a writer goroutine encodes, checksums, writes, fsyncs
+// and renames the file in request order as placement continues.
 package serve
 
 import (
@@ -69,7 +77,8 @@ type Config struct {
 	Engine *optchain.Engine
 	// QueueDepth bounds the ingest queue (admission control).
 	QueueDepth int
-	// MaxBatch caps requests coalesced per PlaceBatch call.
+	// MaxBatch caps requests coalesced per PlaceBatch call, and the lines
+	// one /v1/place connection may have admitted but not yet answered.
 	MaxBatch int
 	// RetryAfter is advertised in the Retry-After header of 429 responses.
 	RetryAfter time.Duration
@@ -111,6 +120,15 @@ type placeOutcome struct {
 	err   error
 }
 
+// snapJob is one captured snapshot on its way to the writer, with the
+// capture's own failure (if any) and the requester's reply channel
+// (buffered 1: the writer never blocks answering).
+type snapJob struct {
+	img   stateImage
+	err   error
+	reply chan error
+}
+
 // pending is one admitted request waiting for the dispatcher.
 type pending struct {
 	ctx      context.Context
@@ -127,6 +145,8 @@ type Server struct {
 	eng     *optchain.Engine
 	queue   chan *pending
 	snapReq chan chan error
+	writes  chan snapJob  // dispatcher -> snapshot writer, in request order
+	written chan struct{} // closed when the snapshot writer has exited
 	stop    chan struct{} // closed by Close: stop accepting, drain, exit
 	dead    chan struct{} // closed when the dispatcher has exited
 	wg      sync.WaitGroup
@@ -186,10 +206,28 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.nextIndex = s.eng.Stats().Placed
 
+	if cfg.StatePath != "" {
+		// One capture may wait while the previous one is being written.
+		s.writes = make(chan snapJob, 1)
+		s.written = make(chan struct{})
+		s.spawn(s.writeLoop)
+	}
+	s.spawn(func() {
+		defer close(s.dead)
+		s.dispatch()
+	})
+	if cfg.StatePath != "" && cfg.SnapshotEvery > 0 {
+		s.spawn(s.snapshotLoop)
+	}
+	return s, nil
+}
+
+// spawn runs fn on a goroutine that Close joins; a panic in fn is recorded
+// and re-raised by Close on the joining goroutine.
+func (s *Server) spawn(fn func()) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		defer close(s.dead)
 		defer func() {
 			if p := recover(); p != nil {
 				s.mu.Lock()
@@ -197,24 +235,8 @@ func New(cfg Config) (*Server, error) {
 				s.mu.Unlock()
 			}
 		}()
-		s.dispatch()
+		fn()
 	}()
-
-	if cfg.StatePath != "" && cfg.SnapshotEvery > 0 {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					s.mu.Lock()
-					s.panicked = p
-					s.mu.Unlock()
-				}
-			}()
-			s.snapshotLoop()
-		}()
-	}
-	return s, nil
 }
 
 // Queue reports the ingest queue's current depth and capacity.
@@ -285,8 +307,15 @@ func (s *Server) enqueue(p *pending) error {
 // one PlaceBatch call, and answers every request it took. Snapshot requests
 // interleave between batches, so the state file always captures a batch
 // boundary. On stop it drains the queue completely — every accepted
-// request is answered — and exits.
+// request is answered — waits for the snapshot writer to finish every
+// in-flight write, and exits.
 func (s *Server) dispatch() {
+	if s.writes != nil {
+		defer func() {
+			close(s.writes)
+			<-s.written
+		}()
+	}
 	for {
 		select {
 		case <-s.stop:
@@ -295,16 +324,28 @@ func (s *Server) dispatch() {
 				case p := <-s.queue:
 					s.placeBatch(s.coalesce(p))
 				case reply := <-s.snapReq:
-					reply <- s.saveState()
+					s.snapshot(reply)
 				default:
 					return
 				}
 			}
 		case reply := <-s.snapReq:
-			reply <- s.saveState()
+			s.snapshot(reply)
 		case p := <-s.queue:
 			s.placeBatch(s.coalesce(p))
 		}
+	}
+}
+
+// snapshot captures the state at this batch boundary and hands it to the
+// writer, which answers reply once the file is durable.
+func (s *Server) snapshot(reply chan error) {
+	img, err := s.captureState()
+	select {
+	case s.writes <- snapJob{img: img, err: err, reply: reply}:
+	case <-s.written:
+		// The writer died (its panic is re-raised by Close).
+		reply <- ErrServerClosed
 	}
 }
 
@@ -429,11 +470,10 @@ func (s *Server) snapshotLoop() {
 			case <-s.stop:
 				return
 			}
+			// A failure is already counted by the writer; waiting keeps
+			// periodic snapshots from piling up behind a slow disk.
 			select {
-			case err := <-reply:
-				if err != nil {
-					s.met.snapshotError()
-				}
+			case <-reply:
 			case <-s.stop:
 				return
 			}
@@ -441,9 +481,10 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// Snapshot asks the dispatcher to write a state snapshot at the next batch
-// boundary and waits for the result. It fails with ErrBadConfig when the
-// server was built without a StatePath.
+// Snapshot asks the dispatcher to capture a state snapshot at the next
+// batch boundary and waits until the file is durable or the write has
+// failed. It fails with ErrBadConfig when the server was built without a
+// StatePath.
 func (s *Server) Snapshot(ctx context.Context) error {
 	if s.cfg.StatePath == "" {
 		return fmt.Errorf("%w: snapshots need Config.StatePath", ErrBadConfig)
@@ -468,9 +509,10 @@ func (s *Server) Snapshot(ctx context.Context) error {
 
 // Close stops the server gracefully: admission closes immediately (new
 // requests get ErrServerClosed), the dispatcher drains every already
-// accepted request to a decision, the background goroutines are joined, and
-// — when snapshots are configured — a final snapshot is written. ctx bounds
-// the wait for the drain. A second Close returns ErrServerClosed.
+// accepted request to a decision and finishes every in-flight snapshot
+// write, the background goroutines are joined, and — when snapshots are
+// configured — a final snapshot is written. ctx bounds the wait for the
+// drain. A second Close returns ErrServerClosed.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -504,7 +546,7 @@ func (s *Server) Close(ctx context.Context) error {
 		panic(p) //optchain:fatal re-raise a dispatcher panic on the joining goroutine (spawncheck contract)
 	}
 	if s.cfg.StatePath != "" {
-		return s.saveState()
+		return s.commitState(s.captureState())
 	}
 	return nil
 }

@@ -30,7 +30,7 @@ type resLine struct {
 }
 
 // newEngine builds a fresh OptChain engine sized for n streamed txs.
-func newEngine(t *testing.T, n int, extra ...optchain.Option) *optchain.Engine {
+func newEngine(t testing.TB, n int, extra ...optchain.Option) *optchain.Engine {
 	t.Helper()
 	opts := append([]optchain.Option{
 		optchain.WithShards(testShards),

@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"time"
 )
 
 // State-file envelope: the server's id map wrapped around the engine's own
@@ -17,7 +17,7 @@ import (
 //
 //	magic "OPTCSRV1"
 //	uvarint envelope version (1)
-//	uvarint id count, then per id (sorted by stream index):
+//	uvarint id count, then per id (strictly increasing stream index):
 //	    uvarint len(id), id bytes, uvarint stream index
 //	uvarint engine snapshot length, engine snapshot bytes (see
 //	    optchain.Engine.WriteSnapshot)
@@ -30,54 +30,82 @@ const (
 // stateMaxBytes bounds how much loadState will read from disk.
 const stateMaxBytes = 1 << 30
 
-// saveState writes the server's state (id map + engine snapshot) to
-// cfg.StatePath atomically: a temp file in the same directory, fsync, then
-// rename. Called only from the dispatcher goroutine or after it has been
-// joined, so the id map and the engine's batch boundary are consistent.
-func (s *Server) saveState() error {
-	var buf bytes.Buffer
-	buf.WriteString(stateMagic)
-	var scratch []byte
-	scratch = binary.AppendUvarint(scratch[:0], stateVersion)
-	buf.Write(scratch)
+// stateImage is one snapshot captured at a batch boundary: the engine's
+// snapshot stream and the id map ordered by stream position (ids[i] names
+// position i, "" where the request had no id). Stream positions are dense
+// in [0, nextIndex), so indexing by position orders the ids without a sort.
+// Both halves are immutable once captured, so the image is encoded and
+// written while the dispatcher keeps placing.
+type stateImage struct {
+	ids    []string
+	count  int // non-empty entries in ids
+	engine []byte
+}
 
-	type idEntry struct {
-		id  string
-		idx int
-	}
-	entries := make([]idEntry, 0, len(s.ids))
-	for id, idx := range s.ids {
-		entries = append(entries, idEntry{id, idx})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].idx < entries[j].idx })
-	scratch = binary.AppendUvarint(scratch[:0], uint64(len(entries)))
-	buf.Write(scratch)
-	for _, e := range entries {
-		scratch = binary.AppendUvarint(scratch[:0], uint64(len(e.id)))
-		buf.Write(scratch)
-		buf.WriteString(e.id)
-		scratch = binary.AppendUvarint(scratch[:0], uint64(e.idx))
-		buf.Write(scratch)
-	}
-
+// captureState takes the part of a snapshot that needs a batch boundary:
+// the engine's snapshot and one pass over the id map. Called only from the
+// dispatcher goroutine or after it has been joined; the hold it records is
+// exactly how long placement waits for the snapshot.
+func (s *Server) captureState() (stateImage, error) {
+	start := time.Now()
+	defer func() { s.met.snapshotHold(time.Since(start)) }()
 	var engineSnap bytes.Buffer
 	if err := s.eng.WriteSnapshot(&engineSnap); err != nil {
-		s.met.snapshotError()
-		return fmt.Errorf("%w: engine snapshot: %v", ErrBadState, err)
+		return stateImage{}, fmt.Errorf("%w: engine snapshot: %v", ErrBadState, err)
 	}
-	scratch = binary.AppendUvarint(scratch[:0], uint64(engineSnap.Len()))
-	buf.Write(scratch)
-	buf.Write(engineSnap.Bytes())
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crc[:])
+	ids := make([]string, s.nextIndex)
+	for id, idx := range s.ids {
+		ids[idx] = id
+	}
+	return stateImage{ids: ids, count: len(s.ids), engine: engineSnap.Bytes()}, nil
+}
 
-	if err := writeFileAtomic(s.cfg.StatePath, buf.Bytes()); err != nil {
+// encode renders the state-file envelope around the captured image.
+func (img stateImage) encode() []byte {
+	buf := make([]byte, 0, len(stateMagic)+16*img.count+len(img.engine)+32)
+	buf = append(buf, stateMagic...)
+	buf = binary.AppendUvarint(buf, stateVersion)
+	buf = binary.AppendUvarint(buf, uint64(img.count))
+	for idx, id := range img.ids {
+		if id == "" {
+			continue
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(id)))
+		buf = append(buf, id...)
+		buf = binary.AppendUvarint(buf, uint64(idx))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(img.engine)))
+	buf = append(buf, img.engine...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// commitState finishes one snapshot attempt: it writes a captured image to
+// cfg.StatePath atomically (temp file in the same directory, fsync, rename)
+// and counts the attempt exactly once, as written or failed. captureErr is
+// the capture's own failure, if any.
+func (s *Server) commitState(img stateImage, captureErr error) error {
+	if captureErr != nil {
+		s.met.snapshotError()
+		return captureErr
+	}
+	data := img.encode()
+	if err := writeFileAtomic(s.cfg.StatePath, data); err != nil {
 		s.met.snapshotError()
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}
-	s.met.snapshot()
+	s.met.snapshot(len(data))
 	return nil
+}
+
+// writeLoop is the snapshot writer: it commits captured images one at a
+// time in request order, so an older snapshot never renames over a newer
+// one, and answers each request once its file is durable. It returns when
+// the dispatcher closes the job channel, after the last job.
+func (s *Server) writeLoop() {
+	defer close(s.written)
+	for job := range s.writes {
+		job.reply <- s.commitState(job.img, job.err)
+	}
 }
 
 // writeFileAtomic writes data to path via a same-directory temp file and
@@ -110,7 +138,7 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// loadState restores a saveState file into the server's id map and the
+// loadState restores a state file into the server's id map and the
 // engine. Called from New before any goroutine starts; a missing file is
 // not an error (cold start), anything else defective fails with ErrBadState
 // so a corrupt file cannot silently cold-start a router mid-stream.
@@ -125,6 +153,12 @@ func (s *Server) loadState(path string) error {
 	if len(data) > stateMaxBytes {
 		return fmt.Errorf("%w: %s exceeds %d bytes", ErrBadState, path, stateMaxBytes)
 	}
+	return s.decodeState(path, data)
+}
+
+// decodeState restores the id map and the engine from the contents of a
+// state file; path names the file in errors. Every defect is ErrBadState.
+func (s *Server) decodeState(path string, data []byte) error {
 	if len(data) < len(stateMagic)+4 || string(data[:len(stateMagic)]) != stateMagic {
 		return fmt.Errorf("%w: %s is not a serve state file (bad magic)", ErrBadState, path)
 	}
@@ -149,6 +183,7 @@ func (s *Server) loadState(path string) error {
 		return fmt.Errorf("%w: %s declares %d ids in %d bytes", ErrBadState, path, count, len(rest))
 	}
 	ids := make(map[string]int, count)
+	var prev uint64
 	for i := uint64(0); i < count; i++ {
 		var n uint64
 		n, rest, err = takeUvarint(rest)
@@ -165,6 +200,16 @@ func (s *Server) loadState(path string) error {
 		if err != nil {
 			return fmt.Errorf("%w: %s id %q index: %v", ErrBadState, path, id, err)
 		}
+		// encode writes non-empty ids in strictly increasing stream
+		// order; anything else (an empty id, two ids on one position) is a
+		// file no server wrote.
+		if id == "" {
+			return fmt.Errorf("%w: %s id %d is empty", ErrBadState, path, i)
+		}
+		if i > 0 && idx <= prev {
+			return fmt.Errorf("%w: %s id %q at stream position %d does not follow %d", ErrBadState, path, id, idx, prev)
+		}
+		prev = idx
 		if _, dup := ids[id]; dup {
 			return fmt.Errorf("%w: %s repeats id %q", ErrBadState, path, id)
 		}
@@ -180,11 +225,8 @@ func (s *Server) loadState(path string) error {
 	if err := s.eng.ReadSnapshot(bytes.NewReader(rest)); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadState, path, err)
 	}
-	placed := s.eng.Stats().Placed
-	for id, idx := range ids {
-		if idx < 0 || idx >= placed {
-			return fmt.Errorf("%w: %s id %q names stream position %d of %d", ErrBadState, path, id, idx, placed)
-		}
+	if placed := s.eng.Stats().Placed; count > 0 && prev >= uint64(placed) {
+		return fmt.Errorf("%w: %s names stream position %d of %d", ErrBadState, path, prev, placed)
 	}
 	s.ids = ids
 	return nil
